@@ -19,12 +19,10 @@ The package computes, over Z and Q with no floating point anywhere:
 from .blowup import (
     AssemblyMismatchError,
     BlowupData,
-    ChartData,
     ExceptionalSquare,
     MODULI_AMBIENT,
     MODULI_BLOWUP,
     RestrictionHom,
-    chart,
     check_split_assembly,
     cusp_complement_chow,
     cusp_locus_class,
@@ -102,7 +100,6 @@ __all__ = [
     "AbelianGroupShape",
     "AssemblyMismatchError",
     "BlowupData",
-    "ChartData",
     "ComplementPicard",
     "DegreeMismatchError",
     "ExceptionalSquare",
@@ -126,7 +123,6 @@ __all__ = [
     "WeightedProjectiveStack",
     "__version__",
     "build_report",
-    "chart",
     "check_split_assembly",
     "chow_of_complement",
     "chow_ring",

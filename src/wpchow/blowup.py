@@ -6,6 +6,12 @@ locus {x = y = 0}.  The exceptional divisor is P(w1, w2); restricting the
 ideal sheaf of the exceptional divisor to it gives O(1), which is the
 source of every class-level identity used here.
 
+The chart algebra is the invariant ring R[x, y, u]^Gm = R[u^w1*x, u^w2*y].
+:func:`invariant_ring_check` verifies it by integer Hilbert-basis
+enumeration: it computes the irreducible elements of the monoid of
+invariant exponent vectors up to a degree bound and compares them with
+the exponents of the two claimed generators.
+
 The moduli application: blowing up the cuspidal point of P(2, 3, 4) with
 weights (4, 6) produces the compactified moduli stack of 2-pointed
 genus-1 curves, fibered over P(4, 6) by the completed-square family of
@@ -32,7 +38,9 @@ surface blow-up picture above literally applies to the moduli case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import prod
+from typing import Sequence
 
 from .curves import discriminant_polynomial
 from .graded import (
@@ -59,11 +67,9 @@ from .wps import (
 __all__ = [
     "AssemblyMismatchError",
     "BlowupData",
-    "ChartData",
     "ExceptionalSquare",
     "MODULI_AMBIENT",
     "MODULI_BLOWUP",
-    "chart",
     "check_split_assembly",
     "cusp_complement_chow",
     "cusp_locus_class",
@@ -103,73 +109,53 @@ class BlowupData:
         return WeightedProjectiveStack((self.w1, self.w2))
 
 
-@dataclass(frozen=True)
-class ChartData:
-    """Literal chart data of the blow-up, recorded for documentation.
+def _invariant_hilbert_basis(
+    weights: Sequence[int], bound: int
+) -> list[tuple[int, ...]]:
+    """Irreducible elements of the invariant monoid, up to total degree bound.
 
-    The chart covering {x != 0} (``which == 1``) is the quotient of A^2 by
-    mu_{w1} embedded via (a, b) -> (1, a, b); the {y != 0} chart is
-    symmetric.  The recorded action weights and the exponent in the group
-    homomorphism xi -> xi^-i are stored as given: the exponent is not
-    pinned down by the chart construction and the first weight is trivial
-    modulo the group order, so ``exponent_unresolved`` flags the
-    ambiguity and nothing downstream consumes these fields.
+    The invariant monoid of the grading ``weights`` (all nonzero) is the set
+    of exponent vectors e in N^n with sum(w * e) == 0.  An element is
+    irreducible when it is nonzero and not the sum of two nonzero
+    invariant vectors.  Every entry but the last is enumerated and the last
+    is solved for, so the cost is one pass over [0, bound]^(n-1).
+    Candidates are tested in increasing total degree: a reducible vector
+    lies componentwise above some irreducible of smaller degree, all of
+    which are already in the basis.
     """
-
-    which: int
-    group_order: int
-    action_weights: tuple[int, int]
-    alpha: str
-    beta: str
-    exponent_unresolved: bool = True
-
-
-def chart(data: BlowupData, which: int) -> ChartData:
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    order = data.w1 if which == 1 else data.w2
-    alpha = "(a, b) -> (1, a, b)" if which == 1 else "(a, b) -> (a, 1, b)"
-    return ChartData(
-        which=which,
-        group_order=order,
-        action_weights=(-order, 1),
-        alpha=alpha,
-        beta=f"xi -> xi^-i for xi a {order}-th root of unity",
-    )
+    *free_weights, last = weights
+    invariants = []
+    for head in product(range(bound + 1), repeat=len(free_weights)):
+        degree = sum(w * e for w, e in zip(free_weights, head))
+        power, remainder = divmod(-degree, last)
+        vector = (*head, power)
+        if remainder == 0 and 0 <= power <= bound - sum(head) and any(vector):
+            invariants.append(vector)
+    invariants.sort(key=sum)
+    basis: list[tuple[int, ...]] = []
+    for vector in invariants:
+        if not any(all(b <= v for b, v in zip(element, vector)) for element in basis):
+            basis.append(vector)
+    return basis
 
 
 def invariant_ring_check(w1: int, w2: int, degree_bound: int) -> bool:
     """Check R[x, y, u]^Gm = R[u^w1*x, u^w2*y] up to total degree bound.
 
-    Enumerates every monomial x^i * y^j * u^k with i + j + k <= bound that
-    is invariant (weighted degree 0 under (w1, w2, -1)) and verifies, by
-    exact polynomial arithmetic, that it equals (u^w1*x)^i * (u^w2*y)^j.
+    Computes the Hilbert basis of the monoid of invariant exponent vectors
+    (i, j, k), i + j + k <= bound, of weighted degree 0 under the ambient
+    grading (w1, w2, -1), and compares it with the exponents (1, 0, w1) and
+    (0, 1, w2) of the two claimed generators, truncated at the bound.
     """
     if w1 < 1 or w2 < 1:
         raise ValueError("weights must be positive integers")
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
-    grading = WeightedGrading({"x": w1, "y": w2, "u": -1})
-    x, y, u = (Poly.variable(v) for v in ("x", "y", "u"))
-
-    def powers(base: Poly) -> list[Poly]:
-        table = [Poly.constant(1)]
-        for _ in range(degree_bound):
-            table.append(table[-1] * base)
-        return table
-
-    x_pow, y_pow, u_pow = powers(x), powers(y), powers(u)
-    first_pow = powers(u**w1 * x)
-    second_pow = powers(u**w2 * y)
-    for i in range(degree_bound + 1):
-        for j in range(degree_bound + 1 - i):
-            for k in range(degree_bound + 1 - i - j):
-                monomial = x_pow[i] * y_pow[j] * u_pow[k]
-                if weighted_degree(monomial, grading) != 0:
-                    continue
-                if monomial != first_pow[i] * second_pow[j]:
-                    return False
-    return True
+    grading = BlowupData(w1, w2).ambient_grading
+    weights = tuple(grading.weight(v) for v in ("x", "y", "u"))
+    claimed = {(1, 0, w1), (0, 1, w2)}
+    expected = {vector for vector in claimed if sum(vector) <= degree_bound}
+    return set(_invariant_hilbert_basis(weights, degree_bound)) == expected
 
 
 @dataclass(frozen=True)

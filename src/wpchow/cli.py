@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from .blowup import (
     BlowupData,
-    chart,
     exceptional_selfintersection,
     invariant_ring_check,
     m12_open_chow,
@@ -90,10 +89,13 @@ def _cmd_blowup(args) -> int:
     square = exceptional_selfintersection(data)
     print(f"self-intersection: E^2 pushes to {square.pushforward.value.render()} "
           "on the exceptional divisor")
-    for which in (1, 2):
-        c = chart(data, which)
-        print(f"chart {which}: A^2 / mu_{c.group_order}, alpha: {c.alpha}, "
-              f"beta: {c.beta} (exponent not pinned by the construction)")
+    # The {x != 0} chart is A^2 / mu_w1 embedded via (a, b) -> (1, a, b); the
+    # {y != 0} chart is symmetric.
+    for which, order, alpha in ((1, data.w1, "(a, b) -> (1, a, b)"),
+                                (2, data.w2, "(a, b) -> (a, 1, b)")):
+        print(f"chart {which}: A^2 / mu_{order}, alpha: {alpha}, "
+              f"beta: xi -> xi^-i for xi a {order}-th root of unity "
+              "(exponent not pinned by the construction)")
     ok = invariant_ring_check(data.w1, data.w2, args.invariant_bound)
     print(f"invariant ring check up to total degree {args.invariant_bound}: "
           f"{'pass' if ok else 'FAIL'}")
@@ -207,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     blowup.add_argument("w1", type=_positive_int)
     blowup.add_argument("w2", type=_positive_int)
     blowup.add_argument("--max-degree", type=int, default=8)
-    blowup.add_argument("--invariant-bound", type=int, default=15)
+    blowup.add_argument("--invariant-bound", type=_positive_int, default=15)
     blowup.set_defaults(func=_cmd_blowup)
 
     curve = sub.add_parser("curve", help="marked Weierstrass pipeline")

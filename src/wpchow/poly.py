@@ -523,6 +523,13 @@ class _Parser:
 
 
 def parse_poly(text: str, grading: Optional[WeightedGrading] = None) -> Poly:
-    """Parse the canonical text syntax back into a polynomial."""
-    poly = _Parser(text).parse()
+    """Parse the canonical text syntax back into a polynomial.
+
+    Raises ``ValueError`` on malformed text, including nesting deeper than
+    the recursive-descent parser can follow.
+    """
+    try:
+        poly = _Parser(text).parse()
+    except RecursionError:
+        raise ValueError("polynomial text is nested too deeply") from None
     return poly.with_grading(grading) if grading is not None else poly

@@ -3,7 +3,9 @@
 Nothing here shares a code path with the library routines under test:
 determinants are cofactor expansions, invariant factors come from gcds
 of minors, and lattice membership is exhaustive search over a bounded
-coefficient box.
+coefficient box.  Invariant exponent vectors are found by filtering the
+whole degree box, and monoid membership by closing the basis under
+addition.
 """
 
 from __future__ import annotations
@@ -92,3 +94,29 @@ def in_row_lattice_brute(matrix, target, bound: int) -> bool:
         ):
             return True
     return False
+
+
+def invariant_vectors_brute(weights, bound: int) -> set:
+    """Every nonzero e in N^n with sum(e) <= bound and sum(w * e) == 0."""
+    return {
+        e
+        for e in product(range(bound + 1), repeat=len(weights))
+        if 0 < sum(e) <= bound and sum(w * x for w, x in zip(weights, e)) == 0
+    }
+
+
+def monoid_closure(generators, bound: int) -> set:
+    """Every nonnegative combination of the generators of total degree
+    <= bound, the zero vector included."""
+    generators = [tuple(g) for g in generators]
+    length = len(generators[0]) if generators else 0
+    reached = {(0,) * length}
+    frontier = list(reached)
+    while frontier:
+        vector = frontier.pop()
+        for g in generators:
+            total = tuple(a + b for a, b in zip(vector, g))
+            if sum(total) <= bound and total not in reached:
+                reached.add(total)
+                frontier.append(total)
+    return reached

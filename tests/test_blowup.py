@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import invariant_vectors_brute, monoid_closure
 from wpchow import (
     AbelianGroupShape,
     AssemblyMismatchError,
@@ -11,7 +12,6 @@ from wpchow import (
     GradedElement,
     GradedPresentation,
     Poly,
-    chart,
     check_split_assembly,
     chow_ring,
     cusp_complement_chow,
@@ -28,6 +28,8 @@ from wpchow import (
     pieces_equal,
     restriction_hom,
 )
+from wpchow import blowup
+from wpchow.cli import main
 
 
 def test_invariant_ring_examples():
@@ -51,30 +53,66 @@ def test_invariant_ring_validation():
         invariant_ring_check(1, 1, 0)
 
 
+def test_invariant_hilbert_basis_against_brute_force():
+    for w1 in range(1, 7):
+        for w2 in range(w1, 7):
+            weights = (w1, w2, -1)
+            basis = blowup._invariant_hilbert_basis(weights, 15)
+            invariants = invariant_vectors_brute(weights, 15)
+            assert set(basis) <= invariants
+            # every invariant vector is a nonnegative combination of the basis
+            assert invariants <= monoid_closure(basis, 15)
+            # no basis element is a sum of two nonzero invariant vectors
+            for element in basis:
+                for part in invariants:
+                    rest = tuple(a - b for a, b in zip(element, part))
+                    assert rest not in invariants
+
+
+def test_invariant_hilbert_basis_of_other_gradings():
+    assert sorted(blowup._invariant_hilbert_basis((1, 1, -2), 15)) == [
+        (0, 2, 1),
+        (1, 1, 1),
+        (2, 0, 1),
+    ]
+    assert blowup._invariant_hilbert_basis((2, 3, 1), 15) == []
+
+
+@pytest.mark.parametrize("mutant", [(1, 1, -2), (2, 3, 1)])
+def test_invariant_ring_check_fails_on_mutated_grading(monkeypatch, mutant):
+    enumerate_basis = blowup._invariant_hilbert_basis
+    monkeypatch.setattr(
+        blowup,
+        "_invariant_hilbert_basis",
+        lambda weights, bound: enumerate_basis(mutant, bound),
+    )
+    assert not invariant_ring_check(1, 1, 15)
+
+
+def test_invariant_ring_large_bound():
+    assert invariant_ring_check(1, 1, 300)
+
+
 def test_invariant_monomial_identity_spot_check():
     # x*y*u^10 is invariant for weights (4, 6, -1) and equals (u^4 x)(u^6 y)
     x, y, u = (Poly.variable(v) for v in ("x", "y", "u"))
     assert x * y * u**10 == (u**4 * x) * (u**6 * y)
 
 
-def test_blowup_data_and_charts():
+def test_blowup_data_and_charts(capsys):
     data = BlowupData(4, 6)
     assert data.exceptional.weights == (4, 6)
     assert data.ambient_grading.weight("u") == -1
-    first = chart(data, 1)
-    assert first.group_order == 4
-    assert first.alpha == "(a, b) -> (1, a, b)"
-    assert first.action_weights == (-4, 1)
-    assert first.exponent_unresolved
-    second = chart(data, 2)
-    assert second.group_order == 6
-    assert second.alpha == "(a, b) -> (a, 1, b)"
-    trivial = chart(BlowupData(1, 1), 1)
-    assert trivial.group_order == 1
-    with pytest.raises(ValueError):
-        chart(data, 3)
     with pytest.raises(ValueError):
         BlowupData(0, 1)
+    assert main(["blowup", "2", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:5] == [
+        "chart 1: A^2 / mu_2, alpha: (a, b) -> (1, a, b), beta: xi -> xi^-i "
+        "for xi a 2-th root of unity (exponent not pinned by the construction)",
+        "chart 2: A^2 / mu_3, alpha: (a, b) -> (a, 1, b), beta: xi -> xi^-i "
+        "for xi a 3-th root of unity (exponent not pinned by the construction)",
+    ]
 
 
 def test_exceptional_selfintersection():

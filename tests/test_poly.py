@@ -196,6 +196,12 @@ def test_parser_rejects_malformed(bad):
         parse_poly(bad)
 
 
+def test_parser_deep_nesting_is_a_value_error():
+    assert parse_poly("(" * 100 + "x" + ")" * 100) == Poly.variable("x")
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse_poly("(" * 2000 + "x" + ")" * 2000)
+
+
 def test_monomial_validation():
     with pytest.raises(ValueError):
         Monomial.of({"x": -1})

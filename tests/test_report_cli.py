@@ -116,6 +116,13 @@ def test_cli_blowup_generic(capsys):
     assert "moduli assembly" not in out
 
 
+def test_cli_blowup_rejects_nonpositive_invariant_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["blowup", "1", "1", "--invariant-bound", "0"])
+    assert exc.value.code == 2
+    assert "--invariant-bound" in capsys.readouterr().err
+
+
 def test_cli_curve_normalize(capsys):
     assert main(["curve", "normalize", "3", "2", "0"]) == 0
     out = capsys.readouterr().out
