@@ -4,8 +4,9 @@ A :class:`GradedPresentation` is a polynomial ring over Z on generators of
 positive degree, modulo homogeneous relations with integer coefficients.
 Because every generator has degree >= 1, each graded piece is a finitely
 generated abelian group presented by an integer relation lattice, so all
-degreewise questions reduce to Hermite/Smith normal form computations;
-no Groebner machinery is needed.
+degreewise questions reduce to integer linear algebra on the relation
+rows: invariant factors for group shapes, Hermite normal form for
+membership.  No Groebner machinery is needed.
 
 ``pieces_equal`` compares two presentations degree by degree.  That is a
 necessary but not sufficient condition for a ring isomorphism; ring-level
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .intlinalg import AbelianGroupShape, cokernel, solve_integer
@@ -136,33 +138,51 @@ def monomials_of_degree(
     if degree < 0:
         return []
     gens = sorted(generators)
-    results: list[Monomial] = []
+    names = [name for name, _ in gens]
+    return [
+        Monomial.of(dict(zip(names, vector)))
+        for vector in _exponent_vectors([d for _, d in gens], degree)
+    ]
 
-    def descend(index: int, remaining: int, acc: list[tuple[str, int]]) -> None:
-        if index == len(gens):
-            if remaining == 0:
-                results.append(Monomial.of(dict(acc)))
-            return
-        name, gen_degree = gens[index]
-        for exp in range(remaining // gen_degree, -1, -1):
-            acc.append((name, exp))
-            descend(index + 1, remaining - exp * gen_degree, acc)
-            acc.pop()
 
-    descend(0, degree, [])
-    return results
+def _exponent_vectors(degrees: Sequence[int], degree: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the given weighted degree, earlier entries
+    larger first (the order of :func:`monomials_of_degree`)."""
+    if not degrees or degree < 0:
+        return [()] if degree == 0 else []
+    partial = [((), degree)]
+    for d in degrees[:-1]:
+        partial = [
+            (prefix + (exp,), rest - exp * d)
+            for prefix, rest in partial
+            for exp in range(rest // d, -1, -1)
+        ]
+    last = degrees[-1]
+    return [prefix + (rest // last,) for prefix, rest in partial if rest % last == 0]
 
 
 def _relation_rows(
     presentation: GradedPresentation, degree: int
-) -> tuple[list[Monomial], list[list[int]]]:
-    """Degree-``degree`` monomial basis and the relation lattice rows on it.
+) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Degree-``degree`` exponent basis and the relation lattice rows on it.
 
     The lattice is spanned by all products m * r with r a relation and m a
-    monomial such that deg(m * r) == degree.
+    monomial such that deg(m * r) == degree.  Exponent vectors follow the
+    sorted generator names, in the order of :func:`monomials_of_degree`.
+    No exponent exceeds ``degree``, so packing a vector e as
+    sum(e_i * B^i) with B = degree + 1 turns multiplying by m into adding
+    its key: each row is a few index lookups, not a ``Poly`` product.
     """
-    basis = monomials_of_degree(presentation.generators, degree)
-    index = {mono: i for i, mono in enumerate(basis)}
+    gens = sorted(presentation.generators)
+    names = [name for name, _ in gens]
+    degrees = [d for _, d in gens]
+    powers = [(degree + 1) ** i for i in range(len(gens))]
+
+    def key(vector) -> int:
+        return sum(map(mul, vector, powers))
+
+    basis = _exponent_vectors(degrees, degree)
+    index = {key(vector): i for i, vector in enumerate(basis)}
     grading = presentation.grading
     rows: list[list[int]] = []
     for relation in presentation.relations:
@@ -171,16 +191,21 @@ def _relation_rows(
         rel_degree = weighted_degree(relation, grading)
         if rel_degree > degree:
             continue
-        for mono in monomials_of_degree(presentation.generators, degree - rel_degree):
-            product = Poly({mono: 1}) * relation
+        terms = [(key(_exponents(mono, names)), int(coeff)) for mono, coeff in relation.terms()]
+        for shift in map(key, _exponent_vectors(degrees, degree - rel_degree)):
             row = [0] * len(basis)
-            for pm, coeff in product.terms():
-                row[index[pm]] = int(coeff)
+            for k, coeff in terms:
+                row[index[shift + k]] = coeff
             rows.append(row)
     return basis, rows
 
 
-@lru_cache(maxsize=None)
+def _exponents(mono: Monomial, names: Sequence[str]) -> tuple[int, ...]:
+    powers = dict(mono.exponents)
+    return tuple(powers.get(name, 0) for name in names)
+
+
+@lru_cache(maxsize=256)
 def _graded_piece_cached(presentation: GradedPresentation, degree: int) -> AbelianGroupShape:
     basis, rows = _relation_rows(presentation, degree)
     return cokernel(rows, len(basis))
@@ -264,10 +289,11 @@ def is_zero(element: GradedElement) -> bool:
     if element.value.is_zero:
         return True
     basis, rows = _relation_rows(element.ambient, element.degree)
-    index = {mono: i for i, mono in enumerate(basis)}
+    names = sorted(name for name, _ in element.ambient.generators)
+    index = {exponents: i for i, exponents in enumerate(basis)}
     vector = [0] * len(basis)
     for mono, coeff in element.value.terms():
-        vector[index[mono]] = int(coeff)
+        vector[index[_exponents(mono, names)]] = int(coeff)
     if not rows:
         return not any(vector)
     return solve_integer(rows, vector) is not None

@@ -5,13 +5,27 @@ determinants are cofactor expansions, invariant factors come from gcds
 of minors, and lattice membership is exhaustive search over a bounded
 coefficient box.  Invariant exponent vectors are found by filtering the
 whole degree box, and monoid membership by closing the basis under
-addition.
+addition.  Relation rows of a graded piece come from ``Poly`` products
+over monomials found by filtering the exponent box.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd
+
+from wpchow.poly import Monomial, Poly
+
+
+def mat_mul(a, b):
+    """Matrix product by the definition."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("inner dimensions do not match")
+    cols = len(b[0]) if b else 0
+    return [
+        [sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+        for row in a
+    ]
 
 
 def det_cofactor(matrix) -> int:
@@ -120,3 +134,35 @@ def monoid_closure(generators, bound: int) -> set:
                 reached.add(total)
                 frontier.append(total)
     return reached
+
+
+def relation_rows_by_products(generators, relations, degree: int):
+    """Exponent basis and dense relation rows of one degree of a graded
+    presentation: one row per ``Poly`` product m * r with deg(m * r) ==
+    degree, monomials in descending lex order on the sorted names."""
+    weight = dict(generators)
+    names = sorted(weight)
+
+    def vectors(total):
+        box = product(range(max(total, 0) + 1), repeat=len(names))
+        found = (e for e in box if sum(weight[n] * x for n, x in zip(names, e)) == total)
+        return sorted(found, reverse=True)
+
+    basis = vectors(degree)
+    index = {e: i for i, e in enumerate(basis)}
+    rows = []
+    for relation in relations:
+        if relation.is_zero:
+            continue
+        mono, _ = next(iter(relation.terms()))
+        rel_degree = sum(weight[name] * exp for name, exp in mono.exponents)
+        if rel_degree > degree:
+            continue
+        for e in vectors(degree - rel_degree):
+            multiplier = Poly({Monomial.of(dict(zip(names, e))): 1})
+            row = [0] * len(basis)
+            for term, coeff in (multiplier * relation).terms():
+                powers = dict(term.exponents)
+                row[index[tuple(powers.get(name, 0) for name in names)]] = int(coeff)
+            rows.append(row)
+    return basis, rows

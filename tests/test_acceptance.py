@@ -11,7 +11,7 @@ import functools
 import random
 from fractions import Fraction
 
-from oracles import invariant_factors_via_minor_gcds
+from oracles import invariant_factors_via_minor_gcds, mat_mul
 from wpchow import (
     AbelianGroupShape,
     GradedPresentation,
@@ -48,7 +48,6 @@ from wpchow import (
     weierstrass_substitution_residual,
     weighted_degree,
 )
-from wpchow.intlinalg import mat_mul
 from wpchow.poly import WeightedGrading
 
 P234 = WeightedProjectiveStack((2, 3, 4))

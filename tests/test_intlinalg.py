@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from oracles import (
     brute_force_diagonalizations,
     in_row_lattice_brute,
     invariant_factors_via_minor_gcds,
+    mat_mul,
 )
 from wpchow import (
     AbelianGroupShape,
@@ -20,7 +22,6 @@ from wpchow import (
     smith_normal_form,
     solve_integer,
 )
-from wpchow.intlinalg import identity, mat_mul
 
 
 def _assert_snf_contract(matrix):
@@ -49,8 +50,9 @@ def _assert_snf_contract(matrix):
 
 
 def test_snf_identity():
-    u, d, v = smith_normal_form(identity(3))
-    assert d == identity(3)
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    u, d, v = smith_normal_form(identity)
+    assert d == identity
 
 
 def test_snf_2x3_diag_case():
@@ -222,3 +224,101 @@ def test_direct_sum_recombines_invariant_factors():
     assert invariant_factors_via_minor_gcds([[12, 0], [0, 8]]) == [4, 24]
     assert AbelianGroupShape.free(1).direct_sum(AbelianGroupShape.cyclic(24)) == AbelianGroupShape(1, (24,))
     assert AbelianGroupShape.cyclic(24).direct_sum(AbelianGroupShape.cyclic(24)) == AbelianGroupShape(0, (24, 24))
+
+
+def _smith_diagonal(matrix):
+    _, d, _ = smith_normal_form(matrix)
+    size = min(len(d), len(d[0]) if d else 0)
+    return [d[i][i] for i in range(size) if d[i][i]]
+
+
+def _random_matrix(rng, kind, m, n):
+    if kind == "unit-heavy":
+        # sparse rows that are mostly +-1, like graded relation rows
+        values = [1, -1, 1, -1, 2, -3, 6, 10, 15]
+        return [
+            [rng.choice(values) if rng.random() < 0.3 else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+    if kind == "rank-deficient":
+        k = rng.randint(1, max(1, min(m, n) - 1))
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    if kind == "zero-lines":
+        matrix = [[rng.randint(-1000, 1000) for _ in range(n)] for _ in range(m)]
+        for i in rng.sample(range(m), rng.randint(1, m)):
+            matrix[i] = [0] * n
+        for j in rng.sample(range(n), rng.randint(0, n - 1)):
+            for row in matrix:
+                row[j] = 0
+        return matrix
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["unit-heavy", "rank-deficient", "zero-lines"])
+def test_invariant_factors_match_smith_diagonal(kind):
+    rng = random.Random(f"factors-{kind}")
+    for _ in range(150):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        matrix = _random_matrix(rng, kind, m, n)
+        diagonal = _smith_diagonal(matrix)
+        assert invariant_factors(matrix) == diagonal
+        torsion = tuple(d for d in diagonal if d >= 2)
+        assert cokernel(matrix, n) == AbelianGroupShape(n - len(diagonal), torsion)
+
+
+def test_invariant_factors_of_degenerate_shapes():
+    assert invariant_factors([]) == []
+    assert invariant_factors([[]]) == []
+    assert invariant_factors([[], [], []]) == []
+    assert invariant_factors([[0, 0, 0]]) == []
+    assert invariant_factors([[0], [0]]) == []
+    assert invariant_factors([[6, -4, 10]]) == [2]
+    assert invariant_factors([[0, -1, 7]]) == [1]
+    assert invariant_factors([[-12]]) == [12]
+    assert cokernel([], 3) == AbelianGroupShape(3, ())
+    assert cokernel([[0, 0]], 2) == AbelianGroupShape(2, ())
+    assert cokernel([[]], 0) == AbelianGroupShape(0, ())
+    rng = random.Random(59)
+    for _ in range(50):
+        row = [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))]
+        g = gcd(*row)
+        assert invariant_factors([row]) == ([g] if g else [])
+        assert invariant_factors([[v] for v in row]) == ([g] if g else [])
+    with pytest.raises(ValueError):
+        invariant_factors([[1, 2], [3]])
+
+
+def test_invariant_factors_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    rng = random.Random(61)
+    values = [1, -1, 2, 3, -4, 6]
+    # Denser matrices of this size take sympy minutes.
+    for m, n, density in ((100, 100, 0.02), (100, 60, 0.02), (60, 100, 0.03), (40, 40, 0.06)):
+        matrix = [
+            [rng.choice(values) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        expected = sympy_factors(sympy.Matrix(matrix), domain=sympy.ZZ)
+        assert invariant_factors(matrix) == [int(f) for f in expected if f]
+
+
+def test_hermite_form_depends_only_on_the_lattice():
+    # The Hermite form is unique: shuffling the rows or adding one row to
+    # another must not change H, on matrices large enough for the sparse
+    # elimination to fill in.
+    rng = random.Random(67)
+    for _ in range(20):
+        m, n = rng.randint(10, 30), rng.randint(5, 20)
+        matrix = _random_matrix(rng, "unit-heavy", m, n)
+        h, u = hermite_normal_form(matrix)
+        assert mat_mul(u, matrix) == h
+        assert abs(determinant(u)) == 1
+        mixed = [row[:] for row in matrix]
+        rng.shuffle(mixed)
+        i, j = rng.sample(range(m), 2)
+        mixed[i] = [a + 3 * b for a, b in zip(mixed[i], mixed[j])]
+        assert hermite_normal_form(mixed)[0] == h

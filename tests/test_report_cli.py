@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -121,6 +122,16 @@ def test_cli_blowup_rejects_nonpositive_invariant_bound(capsys):
         main(["blowup", "1", "1", "--invariant-bound", "0"])
     assert exc.value.code == 2
     assert "--invariant-bound" in capsys.readouterr().err
+
+
+def test_cli_blowup_rejects_invariant_bound_over_the_cap(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["blowup", "1", "1", "--invariant-bound", "10000"])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    assert "--invariant-bound must be at most 600" in capsys.readouterr().err
+    assert main(["blowup", "1", "1", "--invariant-bound", "600"]) == 0
 
 
 def test_cli_curve_normalize(capsys):
