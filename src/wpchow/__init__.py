@@ -33,6 +33,8 @@ from .blowup import (
     m12bar_chow,
     phi_degree2_images,
     restriction_hom,
+    split_pieces,
+    unkilled_relations,
 )
 from .curves import (
     IntermediateCoeffs,
@@ -162,8 +164,10 @@ __all__ = [
     "short_weierstrass_coeffs",
     "smith_normal_form",
     "solve_integer",
+    "split_pieces",
     "substitute",
     "to_short_form",
+    "unkilled_relations",
     "weierstrass_substitution_residual",
     "weighted_degree",
 ]

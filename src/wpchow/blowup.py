@@ -37,11 +37,11 @@ surface blow-up picture above literally applies to the moduli case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 from math import prod
 from typing import Sequence
 
+from ._record import frozen_record
 from .curves import discriminant_polynomial
 from .graded import (
     GradedElement,
@@ -81,6 +81,8 @@ __all__ = [
     "phi_degree2_images",
     "restriction_hom",
     "RestrictionHom",
+    "split_pieces",
+    "unkilled_relations",
 ]
 
 
@@ -88,7 +90,7 @@ class AssemblyMismatchError(Exception):
     """An assembled presentation disagrees with its split decomposition."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class BlowupData:
     """Weights of a blow-up of a smooth surface point."""
 
@@ -118,19 +120,26 @@ def _invariant_hilbert_basis(
     of exponent vectors e in N^n with sum(w * e) == 0.  An element is
     irreducible when it is nonzero and not the sum of two nonzero
     invariant vectors.  Every entry but the last is enumerated and the last
-    is solved for, so the cost is one pass over [0, bound]^(n-1).
+    is solved for.  The free entries are built one coordinate at a time,
+    carrying their total and weighted degree, and only while the total fits
+    the bound, so the cost is one pass over the heads of total <= bound.
     Candidates are tested in increasing total degree: a reducible vector
     lies componentwise above some irreducible of smaller degree, all of
     which are already in the basis.
     """
     *free_weights, last = weights
+    heads = [((), 0, 0)]  # (free entries, their total, their weighted degree)
+    for weight in free_weights:
+        heads = [
+            (head + (e,), total + e, degree + weight * e)
+            for head, total, degree in heads
+            for e in range(bound - total + 1)
+        ]
     invariants = []
-    for head in product(range(bound + 1), repeat=len(free_weights)):
-        degree = sum(w * e for w, e in zip(free_weights, head))
+    for head, total, degree in heads:
         power, remainder = divmod(-degree, last)
-        vector = (*head, power)
-        if remainder == 0 and 0 <= power <= bound - sum(head) and any(vector):
-            invariants.append(vector)
+        if remainder == 0 and 0 <= power <= bound - total and (total or power):
+            invariants.append((*head, power))
     invariants.sort(key=sum)
     basis: list[tuple[int, ...]] = []
     for vector in invariants:
@@ -158,7 +167,7 @@ def invariant_ring_check(w1: int, w2: int, degree_bound: int) -> bool:
     return set(_invariant_hilbert_basis(weights, degree_bound)) == expected
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ExceptionalSquare:
     """The self-intersection identity of the exceptional divisor.
 
@@ -193,6 +202,7 @@ def cusp_locus_class() -> GradedElement:
     return line_image_class(MODULI_AMBIENT, used=(1, 2), remaining=(3,))
 
 
+@lru_cache(maxsize=1)
 def cusp_complement_chow() -> GradedPresentation:
     """A*(U) for U = P(2, 3, 4) minus the cuspidal point: Z[t]/(24 t^2)."""
     return chow_of_complement(MODULI_AMBIENT, [cusp_locus_class()])
@@ -236,37 +246,44 @@ def phi_degree2_images() -> dict[str, tuple[GradedElement, GradedElement]]:
     }
 
 
-def check_split_assembly(presentation: GradedPresentation, bound: int = 8) -> None:
-    """Cross-check a candidate total-space presentation, raising on mismatch.
+def split_pieces(bound: int) -> list[AbelianGroupShape]:
+    """A^(n-1)(P(4, 6)) + A^n(U) for n = 0, ..., bound.
 
-    Verifies for every n <= bound that the degree-n piece equals
-    A^(n-1)(P(4, 6)) + A^n(U), and that every degree-2 relation of the
-    presentation dies componentwise under the degree-2 split images.
+    These are the graded pieces of the total space that the split
+    localization sequence of the blow-up predicts.
     """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
+    exceptional_ring = chow_ring(MODULI_BLOWUP.exceptional)
+    u_ring = cusp_complement_chow()
+    return [
+        (
+            graded_piece(exceptional_ring, n - 1)
+            if n >= 1
+            else AbelianGroupShape.trivial()
+        ).direct_sum(graded_piece(u_ring, n))
+        for n in range(bound + 1)
+    ]
+
+
+def _require_xy(presentation: GradedPresentation) -> None:
     if presentation.generators != (("x", 1), ("y", 1)):
         raise ValueError(
             "assembly check expects generators x (pullback class) and "
             "y (exceptional class), both of degree 1"
         )
+
+
+def unkilled_relations(presentation: GradedPresentation) -> list[Poly]:
+    """Degree-2 relations whose split images do not both vanish.
+
+    Each relation is mapped termwise by :func:`phi_degree2_images` into
+    A^1(P(4, 6)) + A^2(U); a consistent presentation returns ``[]``.
+    """
+    _require_xy(presentation)
     exceptional_ring = chow_ring(MODULI_BLOWUP.exceptional)
     u_ring = cusp_complement_chow()
-    for n in range(bound + 1):
-        below = (
-            graded_piece(exceptional_ring, n - 1)
-            if n >= 1
-            else AbelianGroupShape.trivial()
-        )
-        expected = below.direct_sum(graded_piece(u_ring, n))
-        actual = graded_piece(presentation, n)
-        if actual != expected:
-            raise AssemblyMismatchError(
-                f"degree {n}: presentation gives {actual}, split decomposition "
-                f"gives {expected}"
-            )
     images = phi_degree2_images()
     grading = presentation.grading
+    survivors = []
     for relation in presentation.relations:
         if relation.is_zero or weighted_degree(relation, grading) != 2:
             continue
@@ -277,9 +294,31 @@ def check_split_assembly(presentation: GradedPresentation, bound: int = 8) -> No
             e_image = e_image + int(coefficient) * e_part
             u_image = u_image + int(coefficient) * u_part
         if not (is_zero(e_image) and is_zero(u_image)):
+            survivors.append(relation)
+    return survivors
+
+
+def check_split_assembly(presentation: GradedPresentation, bound: int = 8) -> None:
+    """Cross-check a candidate total-space presentation, raising on mismatch.
+
+    Verifies for every n <= bound that the degree-n piece equals
+    :func:`split_pieces`, and that :func:`unkilled_relations` is empty.
+    """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    _require_xy(presentation)
+    for n, expected in enumerate(split_pieces(bound)):
+        actual = graded_piece(presentation, n)
+        if actual != expected:
             raise AssemblyMismatchError(
-                f"relation {relation} does not vanish under the split images"
+                f"degree {n}: presentation gives {actual}, split decomposition "
+                f"gives {expected}"
             )
+    survivors = unkilled_relations(presentation)
+    if survivors:
+        raise AssemblyMismatchError(
+            f"relation {survivors[0]} does not vanish under the split images"
+        )
 
 
 def m12bar_chow(bound: int = 8) -> GradedPresentation:
@@ -324,7 +363,7 @@ def m12_open_chow(bound: int = 8) -> GradedPresentation:
     return presentation
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RestrictionHom:
     """Certified restriction homomorphism between the two moduli rings."""
 

@@ -23,12 +23,12 @@ isomorphism over a bigger field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
+from ._record import frozen_record
 from .poly import Poly, WeightedGrading, substitute
 
 Rational = Union[int, Fraction]
@@ -78,7 +78,7 @@ def _check_z16_denominator(value: Fraction, field: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class MarkedCurveCoeffs:
     """Coefficients (a2, a3, a4) of the marked cubic."""
 
@@ -93,7 +93,7 @@ class MarkedCurveCoeffs:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class IntermediateCoeffs:
     """Shifted coordinates (alpha2, alpha3, alpha4) of weight (2, 3, 4)."""
 
@@ -106,7 +106,7 @@ class IntermediateCoeffs:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ShortWeierstrass:
     """Short-form coefficients (beta4, beta6)."""
 
@@ -215,6 +215,7 @@ def short_discriminant(short: ShortWeierstrass) -> Fraction:
     return 4 * short.beta4**3 + 27 * short.beta6**2
 
 
+@lru_cache(maxsize=1)
 def discriminant_polynomial() -> Poly:
     """The discriminant as a polynomial in a2, a3, a4, graded by (2, 3, 4)."""
     a2, a3, a4 = (Poly.variable(v) for v in ("a2", "a3", "a4"))
@@ -343,7 +344,7 @@ def iso_test(
 # -- fixed points of the involution on the nodal fiber -------------------
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Mu2FixedPoint:
     """Fixed point of y -> -y on a fiber, with its stack coordinates."""
 

@@ -15,12 +15,12 @@ claims should pair it with :func:`hom_check`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from ._record import frozen_record
 from .intlinalg import AbelianGroupShape, cokernel, solve_integer
 from .poly import (
     Monomial,
@@ -52,7 +52,7 @@ def _coerce_relation(value: Union[Poly, str]) -> Poly:
     return parse_poly(value) if isinstance(value, str) else value
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GradedPresentation:
     """Generators with positive degrees plus homogeneous integer relations."""
 
@@ -218,7 +218,7 @@ def graded_piece(presentation: GradedPresentation, degree: int) -> AbelianGroupS
     return _graded_piece_cached(presentation, degree)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class GradedElement:
     """Homogeneous integer-coefficient element of a graded presentation."""
 

@@ -23,10 +23,11 @@ as the next pivot; it is meant for small matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 from typing import Iterable, Optional, Sequence
+
+from ._record import frozen_record
 
 IntMatrix = list[list[int]]
 
@@ -418,7 +419,7 @@ def solve_integer(matrix: Sequence[Sequence[int]], target: Sequence[int]) -> Opt
     return [sum(y[i] * u[i][j] for i in support) for j in range(m)]
 
 
-@dataclass(frozen=True)
+@frozen_record
 class AbelianGroupShape:
     """Finitely generated abelian group: free rank plus invariant factors.
 

@@ -19,7 +19,6 @@ threads; arithmetic always returns new objects.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
@@ -95,20 +94,26 @@ class WeightedGrading:
         return f"WeightedGrading({{{inner}}})"
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """Product of variable powers; exponents positive, variables sorted."""
+    """Product of variable powers; exponents positive, variables sorted.
 
-    exponents: tuple[tuple[str, int], ...] = ()
+    Immutable and hashed once: monomials are the keys of every
+    polynomial's term map.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("exponents", "_hash")
+
+    def __init__(self, exponents: tuple[tuple[str, int], ...] = ()):
+        exponents = tuple((name, exp) for name, exp in exponents)
         previous = None
-        for name, exp in self.exponents:
+        for name, exp in exponents:
             if not isinstance(exp, int) or isinstance(exp, bool) or exp <= 0:
                 raise ValueError(f"exponent of {name!r} must be a positive integer")
             if previous is not None and name <= previous:
                 raise ValueError("monomial variables must be strictly sorted")
             previous = name
+        _set_exponents(self, exponents)
+        _set_hash(self, hash(exponents))
 
     @classmethod
     def of(cls, exponents: Mapping[str, int]) -> "Monomial":
@@ -143,15 +148,39 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
+        if not other.exponents:
+            return self
+        if not self.exponents:
+            return other
         exps = dict(self.exponents)
         for name, exp in other.exponents:
             exps[name] = exps.get(name, 0) + exp
-        return Monomial.of(exps)
+        return _valid_monomial(tuple(sorted(exps.items())))
 
     def __pow__(self, power: int) -> "Monomial":
         if not isinstance(power, int) or power < 0:
             raise ValueError("monomial powers must be non-negative integers")
         return Monomial.of({name: exp * power for name, exp in self.exponents})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is Monomial:
+            return self._hash == other._hash and self.exponents == other.exponents
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of frozen Monomial")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of frozen Monomial")
+
+    def __reduce__(self):
+        return (Monomial, (self.exponents,))
+
+    def __repr__(self) -> str:
+        return f"Monomial(exponents={self.exponents!r})"
 
     def render(self) -> str:
         if not self.exponents:
@@ -162,6 +191,18 @@ class Monomial:
 
     def __str__(self) -> str:
         return self.render()
+
+
+_set_exponents = Monomial.exponents.__set__
+_set_hash = Monomial._hash.__set__
+
+
+def _valid_monomial(exponents: tuple[tuple[str, int], ...]) -> Monomial:
+    """A monomial from exponents already known to be positive and sorted."""
+    mono = object.__new__(Monomial)
+    _set_exponents(mono, exponents)
+    _set_hash(mono, hash(exponents))
+    return mono
 
 
 Monomial.ONE = Monomial(())
@@ -178,26 +219,52 @@ class Poly:
         for mono, coeff in items:
             if not isinstance(mono, Monomial):
                 raise TypeError(f"term keys must be Monomial, got {type(mono).__name__}")
-            if isinstance(coeff, float):
-                raise TypeError("coefficients must be exact (int or Fraction), not float")
-            value = accumulated.get(mono, Fraction(0)) + Fraction(coeff)
-            if value:
-                accumulated[mono] = value
-            else:
-                accumulated.pop(mono, None)
+            if coeff.__class__ is not Fraction:
+                if isinstance(coeff, float):
+                    raise TypeError("coefficients must be exact (int or Fraction), not float")
+                coeff = Fraction(coeff)
+            previous = accumulated.get(mono)
+            accumulated[mono] = coeff if previous is None else previous + coeff
+        self._set_terms(accumulated, grading)
+
+    def _set_terms(self, accumulated: dict, grading: Optional[WeightedGrading]) -> None:
+        """Drop zero coefficients, check the grading covers every variable
+        and store the terms in canonical order."""
+        nonzero = [mono for mono, coeff in accumulated.items() if coeff]
         if grading is not None:
-            for mono in accumulated:
+            for mono in nonzero:
                 for name, _ in mono.exponents:
                     grading.weight(name)
-        variables = sorted({name for mono in accumulated for name in mono.variables})
+        if len(nonzero) > 1:
+            # Ties in degree are broken lexicographically on the exponent
+            # vectors over the sorted variables.  Comparing the sparse pairs
+            # (-rank of variable, exponent) orders the same way, at a cost
+            # per monomial that does not grow with the number of variables.
+            rank = {
+                name: -i
+                for i, name in enumerate(
+                    sorted({name for mono in nonzero for name, _ in mono.exponents})
+                )
+            }
 
-        def term_key(mono: Monomial):
-            return (mono.degree(grading), tuple(mono.exponent(v) for v in variables))
+            def term_key(mono: Monomial):
+                return (
+                    mono.degree(grading),
+                    tuple([(rank[name], exp) for name, exp in mono.exponents]),
+                )
 
-        ordered = sorted(accumulated, key=term_key, reverse=True)
-        self._terms = {mono: accumulated[mono] for mono in ordered}
+            nonzero.sort(key=term_key, reverse=True)
+        self._terms = {mono: accumulated[mono] for mono in nonzero}
         self._grading = grading
         self._hash = None
+
+    @classmethod
+    def _from_sums(cls, accumulated: dict, grading: Optional[WeightedGrading]) -> "Poly":
+        """A polynomial from a map of monomials to ``Fraction`` sums, which
+        may be zero; skips the per-term checks of the public constructor."""
+        poly = object.__new__(cls)
+        poly._set_terms(accumulated, grading)
+        return poly
 
     # -- constructors ---------------------------------------------------
 
@@ -280,13 +347,14 @@ class Poly:
             return NotImplemented
         result = dict(self._terms)
         for mono, coeff in other._terms.items():
-            result[mono] = result.get(mono, Fraction(0)) + coeff
-        return Poly(result, self._merged_grading(other))
+            previous = result.get(mono)
+            result[mono] = coeff if previous is None else previous + coeff
+        return Poly._from_sums(result, self._merged_grading(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self._terms.items()}, self._grading)
+        return Poly._from_sums({m: -c for m, c in self._terms.items()}, self._grading)
 
     def __sub__(self, other) -> "Poly":
         other = Poly._coerce(other)
@@ -308,8 +376,10 @@ class Poly:
         for mono_a, coeff_a in self._terms.items():
             for mono_b, coeff_b in other._terms.items():
                 mono = mono_a * mono_b
-                result[mono] = result.get(mono, Fraction(0)) + coeff_a * coeff_b
-        return Poly(result, self._merged_grading(other))
+                product = coeff_a * coeff_b
+                previous = result.get(mono)
+                result[mono] = product if previous is None else previous + product
+        return Poly._from_sums(result, self._merged_grading(other))
 
     __rmul__ = __mul__
 
@@ -429,6 +499,14 @@ def is_homogeneous(poly: Poly, grading: Optional[WeightedGrading] = None) -> boo
     return True
 
 
+# Each product of two terms costs a coefficient product, about 10 us in
+# CPython: one parse may spend at most this many, about half a second, so
+# "(x+1)^2000" or "(x+y+1)^200" fails at once instead of running for minutes.
+_PRODUCT_BUDGET = 50_000
+# Coefficients may reach this many bits through products and powers, so
+# "2^1000000000000" fails instead of exhausting memory.
+_COEFFICIENT_BITS = 1 << 16
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
 
 
@@ -451,6 +529,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.budget = _PRODUCT_BUDGET
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -478,18 +557,23 @@ class _Parser:
         if self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -1
-        result = self.term() * sign
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            term = self.term()
-            result = result + term if op == "+" else result - term
-        return result
+        # One running sum for the whole expression: adding term by term
+        # would copy and re-sort the partial sum once per term.
+        sums: dict[Monomial, Fraction] = {}
+        while True:
+            for mono, coeff in self.term().terms():
+                value = coeff if sign > 0 else -coeff
+                previous = sums.get(mono)
+                sums[mono] = value if previous is None else previous + value
+            if self.peek() not in ("+", "-"):
+                return Poly._from_sums(sums, None)
+            sign = 1 if self.take() == "+" else -1
 
     def term(self) -> Poly:
         result = self.factor()
         while self.peek() == "*":
             self.take()
-            result = result * self.factor()
+            result = self.multiply(result, self.factor())
         return result
 
     def factor(self) -> Poly:
@@ -499,8 +583,34 @@ class _Parser:
             exponent = self.take()
             if not exponent.isdigit():
                 raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-            return base ** int(exponent)
+            return self.power(base, int(exponent))
         return base
+
+    def multiply(self, left: Poly, right: Poly) -> Poly:
+        """``left * right``, charged to the parse's product budget."""
+        self.budget -= len(left) * len(right)
+        if self.budget < 0:
+            raise ValueError(
+                f"polynomial text needs more than {_PRODUCT_BUDGET} term products to expand"
+            )
+        if _coefficient_bits(left) + _coefficient_bits(right) > _COEFFICIENT_BITS:
+            raise ValueError(
+                f"polynomial text has coefficients of more than {_COEFFICIENT_BITS} bits"
+            )
+        return left * right
+
+    def power(self, base: Poly, exponent: int) -> Poly:
+        """``base ** exponent`` by squaring, each product charged; a
+        monomial base costs one term product per step, so ``x^(10^12)``
+        stays cheap."""
+        result = Poly.constant(1)
+        while exponent:
+            if exponent & 1:
+                result = self.multiply(result, base)
+            exponent >>= 1
+            if exponent:
+                base = self.multiply(base, base)
+        return result
 
     def atom(self) -> Poly:
         token = self.take()
@@ -522,11 +632,20 @@ class _Parser:
         raise ValueError(f"unexpected token {token!r}")
 
 
+def _coefficient_bits(poly: Poly) -> int:
+    return max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for _, c in poly.terms()),
+        default=0,
+    )
+
+
 def parse_poly(text: str, grading: Optional[WeightedGrading] = None) -> Poly:
     """Parse the canonical text syntax back into a polynomial.
 
     Raises ``ValueError`` on malformed text, including nesting deeper than
-    the recursive-descent parser can follow.
+    the recursive-descent parser can follow, and on text whose products
+    and powers would take more than a fixed budget of term products or
+    grow coefficients past a fixed size to expand.
     """
     try:
         poly = _Parser(text).parse()

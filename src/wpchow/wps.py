@@ -26,10 +26,11 @@ and irreducible; those hypotheses are recorded on the result, not checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Iterable, Sequence, Union
 
+from ._record import frozen_record
 from .graded import GradedElement, GradedPresentation, quotient
 from .intlinalg import AbelianGroupShape
 from .poly import Poly, WeightedGrading, weighted_degree
@@ -49,7 +50,7 @@ __all__ = [
 CHOW_GENERATOR = "t"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class WeightedProjectiveStack:
     """Ordered tuple of positive integer weights."""
 
@@ -74,6 +75,7 @@ class WeightedProjectiveStack:
         return f"P({', '.join(str(w) for w in self.weights)})"
 
 
+@lru_cache(maxsize=32)
 def chow_ring(stack: WeightedProjectiveStack) -> GradedPresentation:
     """Z[t]/((a1*...*an) * t^n) with t = c1(O(1))."""
     relation = prod(stack.weights) * Poly.variable(CHOW_GENERATOR) ** stack.n
@@ -131,7 +133,7 @@ def chow_of_complement(
     return quotient(chow_ring(stack), removed)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class HypersurfaceComplementInput:
     """Weighted affine space data plus a homogeneous defining polynomial."""
 
@@ -158,7 +160,7 @@ class HypersurfaceComplementInput:
         return WeightedGrading(dict(zip(self.variables, self.weights)))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ComplementPicard:
     """Picard group of the hypersurface complement, with its hypotheses."""
 

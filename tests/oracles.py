@@ -119,6 +119,26 @@ def invariant_vectors_brute(weights, bound: int) -> set:
     }
 
 
+def invariant_basis_by_box(weights, bound: int) -> list:
+    """Hilbert basis of the invariant monoid, found by walking the whole box
+    [0, bound]^(n-1) of free entries and solving for the last; listed in
+    increasing total degree, ties in box order."""
+    *free_weights, last = weights
+    invariants = []
+    for head in product(range(bound + 1), repeat=len(free_weights)):
+        degree = sum(w * e for w, e in zip(free_weights, head))
+        power, remainder = divmod(-degree, last)
+        vector = (*head, power)
+        if remainder == 0 and 0 <= power <= bound - sum(head) and any(vector):
+            invariants.append(vector)
+    invariants.sort(key=sum)
+    basis = []
+    for vector in invariants:
+        if not any(all(b <= v for b, v in zip(element, vector)) for element in basis):
+            basis.append(vector)
+    return basis
+
+
 def monoid_closure(generators, bound: int) -> set:
     """Every nonnegative combination of the generators of total degree
     <= bound, the zero vector included."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import invariant_vectors_brute, monoid_closure
+from oracles import invariant_basis_by_box, invariant_vectors_brute, monoid_closure
 from wpchow import (
     AbelianGroupShape,
     AssemblyMismatchError,
@@ -27,6 +27,8 @@ from wpchow import (
     phi_degree2_images,
     pieces_equal,
     restriction_hom,
+    split_pieces,
+    unkilled_relations,
 )
 from wpchow import blowup
 from wpchow.cli import main
@@ -76,6 +78,16 @@ def test_invariant_hilbert_basis_of_other_gradings():
         (2, 0, 1),
     ]
     assert blowup._invariant_hilbert_basis((2, 3, 1), 15) == []
+
+
+@pytest.mark.parametrize(
+    "weights", [(1, 1, -2), (2, 3, 1), (1, 2, -3, -4), (3, -2), (4, 6, -1), (-1,)]
+)
+def test_invariant_hilbert_basis_matches_the_box_walk_in_order(weights):
+    for bound in range(31):
+        assert blowup._invariant_hilbert_basis(weights, bound) == invariant_basis_by_box(
+            weights, bound
+        )
 
 
 @pytest.mark.parametrize("mutant", [(1, 1, -2), (2, 3, 1)])
@@ -169,13 +181,14 @@ def test_m12bar_assembly_matches_split_decomposition():
     e_ring = chow_ring(BlowupData(4, 6).exceptional)
     u_ring = cusp_complement_chow()
     presentation = m12bar_chow(8)
+    predicted = split_pieces(8)
+    assert len(predicted) == 9
     for n in range(9):
         below = (
             graded_piece(e_ring, n - 1) if n >= 1 else AbelianGroupShape.trivial()
         )
-        assert graded_piece(presentation, n) == below.direct_sum(
-            graded_piece(u_ring, n)
-        )
+        expected = below.direct_sum(graded_piece(u_ring, n))
+        assert graded_piece(presentation, n) == expected == predicted[n]
 
 
 def test_check_split_assembly_detects_corruption():
@@ -187,6 +200,19 @@ def test_check_split_assembly_detects_corruption():
     dropped = GradedPresentation.make([("x", 1), ("y", 1)], ["x*y"])
     with pytest.raises(AssemblyMismatchError):
         check_split_assembly(dropped, 8)
+
+
+def test_unkilled_relations():
+    assert unkilled_relations(m12bar_chow()) == []
+    mixed = GradedPresentation.make(
+        [("x", 1), ("y", 1)], ["x*y", "x^2", "24*x^2 + 24*y^2", "y^2 - x^2", "x^3"]
+    )
+    # x^2 -> (t, t^2) and y^2 - x^2 -> (-2t, -t^2) survive; x^3 is not of degree 2
+    assert unkilled_relations(mixed) == [parse_poly("x^2"), parse_poly("y^2 - x^2")]
+    with pytest.raises(AssemblyMismatchError, match="relation x\\^2 does not vanish"):
+        check_split_assembly(GradedPresentation.make([("x", 1), ("y", 1)], ["x^2"]), 0)
+    with pytest.raises(ValueError, match="expects generators"):
+        unkilled_relations(GradedPresentation.make([("t", 1)], ["24*t^2"]))
 
 
 def test_m12_open_chow():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,24 @@ def test_canonical_term_order_and_render():
     assert p.render() == "-x^3 + y^2 + 3*x - 2"
     assert Poly.zero().render() == "0"
     assert (Fraction(1, 2) * x).render() == "1/2*x"
+
+
+def test_term_order_matches_dense_exponent_vectors_random():
+    # Canonical order: degree first, then the exponent vectors over the
+    # sorted variables, both descending.
+    rng = random.Random(11)
+    grading = WeightedGrading({"a": 1, "b": 3, "x": 2, "x1": 1, "y": 5})
+    for _ in range(300):
+        poly = _random_poly(rng, ["a", "b", "x", "x1", "y"], max_terms=7)
+        names = sorted({v for mono in poly.monomials() for v in mono.variables})
+        for graded in (None, grading):
+            ordered = poly.with_grading(graded).monomials()
+            dense = sorted(
+                ordered,
+                key=lambda m: (m.degree(graded), tuple(m.exponent(v) for v in names)),
+                reverse=True,
+            )
+            assert list(ordered) == dense
 
 
 def test_beta6_correction_term_has_three_terms():
@@ -200,6 +219,46 @@ def test_parser_deep_nesting_is_a_value_error():
     assert parse_poly("(" * 100 + "x" + ")" * 100) == Poly.variable("x")
     with pytest.raises(ValueError, match="nested too deeply"):
         parse_poly("(" * 2000 + "x" + ")" * 2000)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(x+1)^2000", "term products"),
+        ("(x+y+1)^200", "term products"),
+        ("*".join(f"(x{i} + 1)" for i in range(30)), "term products"),
+        ("2^1000000000000", "bits"),
+    ],
+    ids=["binomial-power", "trinomial-power", "product-chain", "coefficient-growth"],
+)
+def test_parser_expansion_budget_is_a_value_error(text, message):
+    # Expanding any of these takes minutes or exhausts memory; over the
+    # parser's fixed budget each fails after well under a second (~0.35 s
+    # for the first on a 2-CPU container).
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        parse_poly(text)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_parser_long_sums_stay_cheap():
+    # A sum over 1000 variables took 33 s when every "+" copied and
+    # re-sorted the partial sum over dense exponent vectors; 4000 now take
+    # ~0.1 s.
+    text = " + ".join(f"x{i}" for i in range(4000))
+    start = time.perf_counter()
+    poly = parse_poly(text)
+    assert time.perf_counter() - start < 2.0
+    assert len(poly) == 4000
+    x, y = Poly.variable("x"), Poly.variable("y")
+    assert parse_poly("x - y + 2*x - x*y - 3*x") == -x * y - y
+
+
+def test_parser_monomial_powers_stay_cheap():
+    x = Poly.variable("x")
+    assert parse_poly("x^1000000000000") == Poly({Monomial.of({"x": 10**12}): 1})
+    assert parse_poly("(-2*x*y)^3") == -8 * x**3 * Poly.variable("y") ** 3
+    assert parse_poly("(x+1)^200") == (x + 1) ** 200
 
 
 def test_monomial_validation():

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +199,48 @@ def test_cli_pic_complement(capsys):
 def test_cli_pic_complement_inhomogeneous(capsys):
     assert main(["pic-complement", "4", "6", "--poly", "x + y"]) == 2
     assert "not homogeneous" in capsys.readouterr().err
+
+
+def test_cli_pic_complement_rejects_expansions_over_the_budget(capsys):
+    for text in ("(x+1)^2000", "(x+y+1)^200"):
+        start = time.perf_counter()
+        assert main(["pic-complement", "1", "1", "--poly", text]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "term products" in capsys.readouterr().err
+    assert main(["pic-complement", "1", "--poly", "x^1000000000000"]) == 0
+    assert "Pic = Z/1000000000000" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "args, golden, code",
+    [
+        (["--format", "json"], "verify-paper-bound8.json", 0),
+        (["--format", "json", "--bound", "24"], "verify-paper-bound24.json", 0),
+        (["--format", "json", "--self-test"], "verify-paper-self-test.json", 1),
+        ([], "verify-paper-bound8.txt", 0),
+    ],
+)
+def test_cli_verify_paper_matches_golden_output(capsys, args, golden, code):
+    assert main(["verify-paper", *args]) == code
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Together they cost ~25 ms of a ~60 ms cold import of wpchow.cli.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, wpchow.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_verify_paper(capsys):
