@@ -8,6 +8,12 @@ polynomial therefore always produces the same text, and the parser
 accepts exactly the rendered syntax (integers, rational literals
 ``p/q``, ``+ - * ^`` and parentheses).
 
+The parser reads text term by term: the numbers, variables and powers of
+a term multiply into one coefficient and one exponent map, and only a
+parenthesised factor is expanded with ``Poly`` products.  Every product,
+of either kind, is charged to a fixed budget of term products and
+checked against a coefficient size limit, so hostile text fails fast.
+
 A :class:`WeightedGrading` assigns an integer weight to every variable;
 attached to a polynomial it drives the term order and degree bookkeeping,
 otherwise every variable counts with weight 1.
@@ -507,136 +513,213 @@ _PRODUCT_BUDGET = 50_000
 # "2^1000000000000" fails instead of exhausting memory.
 _COEFFICIENT_BITS = 1 << 16
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
+# Token kinds, in the order of the groups of ``_TOKEN``; its last group
+# catches any other character, so no text is skipped.
+_NUMBER, _NAME, _SYMBOL = 1, 2, 3
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()])|(\S))")
+_END = (None, None)
 
 
-def _tokenize(text: str) -> list[str]:
+def _tokenize(text: str) -> list[tuple[int, str]]:
+    """``(kind, text)`` pairs, ``kind`` one of ``_NUMBER``, ``_NAME`` and
+    ``_SYMBOL``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None or match.end() == pos:
-            remainder = text[pos:].lstrip()
-            if not remainder:
-                break
-            raise ValueError(f"unexpected character {remainder[0]!r} in polynomial text")
-        tokens.append(match.group(1) or match.group(2) or match.group(3))
-        pos = match.end()
+    for number, name, symbol, other in _TOKEN.findall(text):
+        if number:
+            tokens.append((_NUMBER, number))
+        elif name:
+            tokens.append((_NAME, name))
+        elif symbol:
+            tokens.append((_SYMBOL, symbol))
+        else:
+            raise ValueError(f"unexpected character {other!r} in polynomial text")
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens of one polynomial text.
+
+    A term is built as a plain ``(coefficient, {variable: exponent})`` pair
+    while its factors are numbers, ``p/q`` literals, variables and their
+    powers; it becomes a ``Poly`` only when a parenthesised factor is
+    multiplied in.  A pair's exponent map belongs to the term being built
+    and is updated in place.  Every product, of pairs or of polynomials, is
+    charged to the budget as the ``Poly`` product it stands for: the
+    product of the numbers of terms, after the same coefficient-size check.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
+        self.tokens.append(_END)
         self.pos = 0
         self.budget = _PRODUCT_BUDGET
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos][1]
 
-    def take(self) -> str:
-        token = self.peek()
-        if token is None:
+    def take(self) -> tuple[int, str]:
+        token = self.tokens[self.pos]
+        if token is _END:
             raise ValueError("unexpected end of polynomial text")
         self.pos += 1
         return token
 
-    def expect(self, token: str) -> None:
-        got = self.take()
-        if got != token:
-            raise ValueError(f"expected {token!r} but found {got!r}")
+    def expect(self, text: str) -> None:
+        _, got = self.take()
+        if got != text:
+            raise ValueError(f"expected {text!r} but found {got!r}")
 
-    def parse(self) -> Poly:
-        result = self.expression()
+    def parse(self) -> dict[Monomial, Coeff]:
+        sums = self.expression()
         if self.peek() is not None:
             raise ValueError(f"trailing input starting at {self.peek()!r}")
-        return result
+        return sums
 
-    def expression(self) -> Poly:
+    def expression(self) -> dict[Monomial, Coeff]:
+        """The sum as one map of monomials to coefficients: adding term by
+        term would copy and re-sort the partial sum once per term."""
         sign = 1
         if self.peek() in ("+", "-"):
-            if self.take() == "-":
+            if self.take()[1] == "-":
                 sign = -1
-        # One running sum for the whole expression: adding term by term
-        # would copy and re-sort the partial sum once per term.
-        sums: dict[Monomial, Fraction] = {}
+        sums: dict[Monomial, Coeff] = {}
         while True:
-            for mono, coeff in self.term().terms():
-                value = coeff if sign > 0 else -coeff
+            term = self.term()
+            if term.__class__ is Poly:
+                items = term.terms()
+            else:
+                coeff, exps = term
+                items = ((_monomial(exps), coeff),)
+            for mono, coeff in items:
+                if sign < 0:
+                    coeff = -coeff
                 previous = sums.get(mono)
-                sums[mono] = value if previous is None else previous + value
+                sums[mono] = coeff if previous is None else previous + coeff
             if self.peek() not in ("+", "-"):
-                return Poly._from_sums(sums, None)
-            sign = 1 if self.take() == "+" else -1
+                return sums
+            sign = 1 if self.take()[1] == "+" else -1
 
-    def term(self) -> Poly:
+    def term(self) -> Poly | tuple[Coeff, dict[str, int]]:
         result = self.factor()
         while self.peek() == "*":
-            self.take()
+            self.pos += 1
             result = self.multiply(result, self.factor())
         return result
 
-    def factor(self) -> Poly:
+    def factor(self) -> Poly | tuple[Coeff, dict[str, int]]:
         base = self.atom()
         if self.peek() == "^":
-            self.take()
-            exponent = self.take()
-            if not exponent.isdigit():
+            self.pos += 1
+            kind, exponent = self.take()
+            if kind != _NUMBER:
                 raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
             return self.power(base, int(exponent))
         return base
 
-    def multiply(self, left: Poly, right: Poly) -> Poly:
-        """``left * right``, charged to the parse's product budget."""
-        self.budget -= len(left) * len(right)
+    def atom(self) -> Poly | tuple[Coeff, dict[str, int]]:
+        kind, token = self.take()
+        if kind == _NUMBER:
+            numerator = int(token)
+            if self.peek() == "/":
+                self.pos += 1
+                kind, denominator = self.take()
+                if kind != _NUMBER or int(denominator) == 0:
+                    raise ValueError(f"invalid rational denominator {denominator!r}")
+                return Fraction(numerator, int(denominator)), {}
+            return numerator, {}
+        if kind == _NAME:
+            return 1, {token: 1}
+        if token == "(":
+            inner = self.expression()
+            self.expect(")")
+            return _poly(inner, None)
+        raise ValueError(f"unexpected token {token!r}")
+
+    def charge(self, products: int, bits: int) -> None:
+        self.budget -= products
         if self.budget < 0:
             raise ValueError(
                 f"polynomial text needs more than {_PRODUCT_BUDGET} term products to expand"
             )
-        if _coefficient_bits(left) + _coefficient_bits(right) > _COEFFICIENT_BITS:
+        if bits > _COEFFICIENT_BITS:
             raise ValueError(
                 f"polynomial text has coefficients of more than {_COEFFICIENT_BITS} bits"
             )
-        return left * right
 
-    def power(self, base: Poly, exponent: int) -> Poly:
-        """``base ** exponent`` by squaring, each product charged; a
-        monomial base costs one term product per step, so ``x^(10^12)``
-        stays cheap."""
-        result = Poly.constant(1)
-        while exponent:
-            if exponent & 1:
-                result = self.multiply(result, base)
-            exponent >>= 1
-            if exponent:
-                base = self.multiply(base, base)
-        return result
+    def multiply(self, left, right) -> Poly | tuple[Coeff, dict[str, int]]:
+        """``left * right`` for two pairs or polynomials, charged."""
+        if left.__class__ is Poly or right.__class__ is Poly:
+            left, right = _as_poly(left), _as_poly(right)
+            self.charge(len(left) * len(right), _coefficient_bits(left) + _coefficient_bits(right))
+            return left * right
+        (a, exps), (b, right_exps) = left, right
+        for name, exp in right_exps.items():
+            exps[name] = exps.get(name, 0) + exp
+        return self.scale(a, b), exps
 
-    def atom(self) -> Poly:
-        token = self.take()
-        if token.isdigit():
-            numerator = int(token)
-            if self.peek() == "/":
-                self.take()
-                denominator = self.take()
-                if not denominator.isdigit() or int(denominator) == 0:
-                    raise ValueError(f"invalid rational denominator {denominator!r}")
-                return Poly.constant(Fraction(numerator, int(denominator)))
-            return Poly.constant(numerator)
-        if token == "(":
-            inner = self.expression()
-            self.expect(")")
-            return inner
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token):
-            return Poly.variable(token)
-        raise ValueError(f"unexpected token {token!r}")
+    def scale(self, a: Coeff, b: Coeff) -> Coeff:
+        """The coefficient product ``a * b`` of two pairs, charged."""
+        self.charge(1 if a and b else 0, _bits(a) + _bits(b))
+        return a * b
+
+    def power(self, base, exponent: int) -> Poly | tuple[Coeff, dict[str, int]]:
+        """``base ** exponent`` by squaring, each product charged.  A pair's
+        variables only scale their exponents, so ``x^(10^12)`` stays cheap."""
+        if base.__class__ is Poly:
+            return _square_and_multiply(base, exponent, Poly.constant(1), self.multiply)
+        coeff, exps = base
+        if not exponent:
+            return 1, {}
+        if coeff == 1:
+            # Every step multiplies 1 by 1: one term product each, and no
+            # coefficient can grow.
+            self.charge(exponent.bit_count() + exponent.bit_length() - 1, 0)
+        else:
+            coeff = _square_and_multiply(coeff, exponent, 1, self.scale)
+        return coeff, {name: exp * exponent for name, exp in exps.items()}
+
+
+def _square_and_multiply(base, exponent: int, one, multiply):
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = multiply(result, base)
+        exponent >>= 1
+        if exponent:
+            base = multiply(base, base)
+    return result
+
+
+def _bits(coeff: Coeff) -> int:
+    """Bits of one coefficient for the size check; zero has none, as the
+    zero polynomial has no terms."""
+    if coeff.__class__ is int:
+        return coeff.bit_length()
+    if not coeff:
+        return 0
+    return max(coeff.numerator.bit_length(), coeff.denominator.bit_length())
 
 
 def _coefficient_bits(poly: Poly) -> int:
-    return max(
-        (max(c.numerator.bit_length(), c.denominator.bit_length()) for _, c in poly.terms()),
-        default=0,
+    return max((_bits(c) for _, c in poly.terms()), default=0)
+
+
+def _poly(sums: dict[Monomial, Coeff], grading: Optional[WeightedGrading]) -> Poly:
+    return Poly._from_sums(
+        {mono: c if c.__class__ is Fraction else Fraction(c) for mono, c in sums.items() if c},
+        grading,
     )
+
+
+def _as_poly(value) -> Poly:
+    if value.__class__ is Poly:
+        return value
+    coeff, exps = value
+    return _poly({_monomial(exps): coeff}, None)
+
+
+def _monomial(exps: dict[str, int]) -> Monomial:
+    return _valid_monomial(tuple(sorted(exps.items())))
 
 
 def parse_poly(text: str, grading: Optional[WeightedGrading] = None) -> Poly:
@@ -648,7 +731,7 @@ def parse_poly(text: str, grading: Optional[WeightedGrading] = None) -> Poly:
     grow coefficients past a fixed size to expand.
     """
     try:
-        poly = _Parser(text).parse()
+        sums = _Parser(text).parse()
     except RecursionError:
         raise ValueError("polynomial text is nested too deeply") from None
-    return poly.with_grading(grading) if grading is not None else poly
+    return _poly(sums, grading)

@@ -6,15 +6,18 @@ of minors, and lattice membership is exhaustive search over a bounded
 coefficient box.  Invariant exponent vectors are found by filtering the
 whole degree box, and monoid membership by closing the basis under
 addition.  Relation rows of a graded piece come from ``Poly`` products
-over monomials found by filtering the exponent box.
+over monomials found by filtering the exponent box, and polynomial text
+is parsed with one ``Poly`` product per factor.
 """
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from wpchow.poly import Monomial, Poly
+from wpchow.poly import _COEFFICIENT_BITS, _PRODUCT_BUDGET, Monomial, Poly
 
 
 def mat_mul(a, b):
@@ -186,3 +189,123 @@ def relation_rows_by_products(generators, relations, degree: int):
                 row[index[tuple(powers.get(name, 0) for name in names)]] = int(coeff)
             rows.append(row)
     return basis, rows
+
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
+
+
+def parse_by_products(text: str) -> Poly:
+    """Parse polynomial text with one ``Poly`` per factor and one ``Poly``
+    product per ``*`` and per squaring step, under the same product budget
+    and coefficient-size limit as ``wpchow.poly.parse_poly``."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            remainder = text[pos:].lstrip()
+            if not remainder:
+                break
+            raise ValueError(f"unexpected character {remainder[0]!r} in polynomial text")
+        tokens.append(match.group(1) or match.group(2) or match.group(3))
+        pos = match.end()
+    try:
+        return _ProductParser(tokens).parse()
+    except RecursionError:
+        raise ValueError("polynomial text is nested too deeply") from None
+
+
+class _ProductParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.budget = _PRODUCT_BUDGET
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        token = self.peek()
+        if token is None:
+            raise ValueError("unexpected end of polynomial text")
+        self.pos += 1
+        return token
+
+    def parse(self):
+        result = self.expression()
+        if self.peek() is not None:
+            raise ValueError(f"trailing input starting at {self.peek()!r}")
+        return result
+
+    def expression(self):
+        negative = self.peek() in ("+", "-") and self.take() == "-"
+        total = Poly.zero()
+        while True:
+            term = self.term()
+            total = total - term if negative else total + term
+            if self.peek() not in ("+", "-"):
+                return total
+            negative = self.take() == "-"
+
+    def term(self):
+        result = self.factor()
+        while self.peek() == "*":
+            self.take()
+            result = self.multiply(result, self.factor())
+        return result
+
+    def factor(self):
+        base = self.atom()
+        if self.peek() != "^":
+            return base
+        self.take()
+        exponent = self.take()
+        if not exponent.isdigit():
+            raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+        exponent = int(exponent)
+        result = Poly.constant(1)
+        while exponent:
+            if exponent & 1:
+                result = self.multiply(result, base)
+            exponent >>= 1
+            if exponent:
+                base = self.multiply(base, base)
+        return result
+
+    def multiply(self, left, right):
+        self.budget -= len(left) * len(right)
+        if self.budget < 0:
+            raise ValueError(
+                f"polynomial text needs more than {_PRODUCT_BUDGET} term products to expand"
+            )
+        bits = sum(
+            max((max(c.numerator.bit_length(), c.denominator.bit_length()) for _, c in p.terms()),
+                default=0)
+            for p in (left, right)
+        )
+        if bits > _COEFFICIENT_BITS:
+            raise ValueError(
+                f"polynomial text has coefficients of more than {_COEFFICIENT_BITS} bits"
+            )
+        return left * right
+
+    def atom(self):
+        token = self.take()
+        if token.isdigit():
+            numerator = int(token)
+            if self.peek() == "/":
+                self.take()
+                denominator = self.take()
+                if not denominator.isdigit() or int(denominator) == 0:
+                    raise ValueError(f"invalid rational denominator {denominator!r}")
+                return Poly.constant(Fraction(numerator, int(denominator)))
+            return Poly.constant(numerator)
+        if token == "(":
+            inner = self.expression()
+            closing = self.take()
+            if closing != ")":
+                raise ValueError(f"expected ')' but found {closing!r}")
+            return inner
+        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token):
+            return Poly.variable(token)
+        raise ValueError(f"unexpected token {token!r}")

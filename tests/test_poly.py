@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import parse_by_products
 from wpchow import (
     InhomogeneousError,
     Monomial,
@@ -259,6 +260,119 @@ def test_parser_monomial_powers_stay_cheap():
     assert parse_poly("x^1000000000000") == Poly({Monomial.of({"x": 10**12}): 1})
     assert parse_poly("(-2*x*y)^3") == -8 * x**3 * Poly.variable("y") ** 3
     assert parse_poly("(x+1)^200") == (x + 1) ** 200
+
+
+def _outcome(parse, text):
+    """The parsed polynomial with its render and term order, or the
+    ``ValueError`` text."""
+    try:
+        poly = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    assert all(type(coeff) is Fraction for _, coeff in poly.terms())
+    return poly, poly.render(), poly.monomials()
+
+
+def _random_rendered(rng):
+    """Canonical text of a random polynomial: rational and negative
+    coefficients, up to 4 variables, degree at most 12."""
+    variables = rng.sample(["a", "b2", "c_3", "x", "y", "Z"], rng.randint(1, 4))
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exponents = {}
+        for name in variables:
+            exponents[name] = rng.randint(0, 12 - sum(exponents.values()))
+        mono = Monomial.of(exponents)
+        numerator = rng.choice((rng.randint(-9, 9), rng.randint(-(10**30), 10**30)))
+        terms[mono] = terms.get(mono, 0) + Fraction(numerator, rng.choice((1, 1, 2, 3, 7, 10)))
+    return Poly(terms).render()
+
+
+def _random_expression(rng, depth=0):
+    """Non-canonical text: nested parentheses, powers of any factor, rational
+    literals, signs and repeated variables."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.35:
+                factor = rng.choice(["x", "y", "x1", "z"])
+            elif kind < 0.6:
+                factor = str(rng.randint(0, 30))
+            elif kind < 0.75:
+                factor = f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"
+            elif depth < 2:
+                factor = f"({_random_expression(rng, depth + 1)})"
+            else:
+                factor = "y"
+            if rng.random() < 0.3:
+                factor += f"^{rng.randint(0, 3 if factor[0] == '(' else 9)}"
+            factors.append(factor)
+        terms.append(rng.choice(["", "-", "+"]) * (not terms) + "*".join(factors))
+    text = terms[0]
+    for term in terms[1:]:
+        text += rng.choice([" + ", " - ", "+", "-"]) + term
+    return text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x*x", "x^0", "0*x", "2/4*x", "(-2*x*y)^3", "3*(x+1)^2*y", "1/0", "x/2",
+        "--x", "0^0", "0*(x+1)^3", "(0)^3*x", "7/7*x^1*y^0", "x^2*x^3 - x^5",
+        "2^65536", "(1/2)^65536", "3^41348*x", "0*3^41348", "0/5*3^41348",
+        "3^41348 - 3^41348",
+        "*".join(["(x + 1)"] * 4) + "^3", "x^3^2", "(x", "x)", "x y", " ", "2x",
+        "x^-1", "1/", "x + ?",
+    ],
+)
+def test_parse_poly_matches_factor_by_factor_parser_on_edge_cases(text):
+    assert _outcome(parse_poly, text) == _outcome(parse_by_products, text)
+
+
+def test_parse_poly_matches_factor_by_factor_parser_random():
+    rng = random.Random(23)
+    texts = [_random_rendered(rng) for _ in range(2000)]
+    texts += [_random_expression(rng) for _ in range(500)]
+    alphabet = ["x", "y", "2", "0", "12", "/", "*", "^", "+", "-", "(", ")", " ", "3/4", "^0"]
+    texts += ["".join(rng.choices(alphabet, k=rng.randint(1, 12))) for _ in range(2000)]
+    for text in texts:
+        assert _outcome(parse_poly, text) == _outcome(parse_by_products, text), text
+
+
+def test_canonical_terms_parse_without_poly_products(monkeypatch):
+    calls = []
+    product = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    poly = parse_poly("-12*a^3*b^2*c^5 + 3/4*a*b - a*a + 7 - x^1000000000000")
+    assert poly.render() == "-x^1000000000000 - 12*a^3*b^2*c^5 - a^2 + 3/4*a*b + 7"
+    assert calls == []
+    parse_poly("3*(x+1)^2*y")
+    assert calls
+
+
+def test_parser_budget_boundary_on_factor_chains():
+    # A chain of n factors takes n - 1 term products; the budget is 50,000.
+    assert parse_poly("*".join(["x"] * 50_001)) == Poly({Monomial.of({"x": 50_001}): 1})
+    with pytest.raises(ValueError, match="term products"):
+        parse_poly("*".join(["x"] * 50_002))
+    # A zero factor makes every later product free, as for the zero polynomial.
+    assert parse_poly("0*" + "*".join(["x"] * 60_000)) == 0
+    # x^3 takes three: 1 * x, x * x and x * x^2.
+    assert len(parse_poly("*".join(["x"] * 49_997) + "*x^3")) == 1
+    with pytest.raises(ValueError, match="term products"):
+        parse_poly("*".join(["x"] * 49_998) + "*x^3")
+    start = time.perf_counter()
+    assert len(parse_poly("x^1000000000000")) == 1
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="bits"):
+        parse_poly("2^1000000000000")
 
 
 def test_monomial_validation():

@@ -228,6 +228,26 @@ def test_cli_verify_paper_matches_golden_output(capsys, args, golden, code):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (
+            [
+                "pic-complement", "2", "3", "4",
+                "--poly", "4*a4^3 + 27*(a3^2 - a2^3 - a2*a4)^2",
+                "--vars", "a2,a3,a4",
+            ],
+            "pic-complement-discriminant.txt",
+        ),
+        (["blowup", "4", "6"], "blowup-4-6.txt"),
+    ],
+    ids=["pic-complement-discriminant", "blowup-4-6"],
+)
+def test_cli_parse_heavy_output_matches_golden(capsys, argv, golden):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # Together they cost ~25 ms of a ~60 ms cold import of wpchow.cli.
     src = Path(__file__).resolve().parents[1] / "src"
@@ -268,3 +288,36 @@ def test_cli_verify_paper_json_output(tmp_path, capsys):
 def test_cli_verify_paper_bound_validation():
     with pytest.raises(SystemExit):
         main(["verify-paper", "--bound", "3"])
+
+
+def test_cli_verify_paper_unwritable_output_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["verify-paper", "--format", "json", "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "report.json" in err
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify-paper", "--bound", "201"], "--bound"),
+        (["chow", "2", "3", "--max-degree", "201"], "--max-degree"),
+        (["blowup", "4", "6", "--max-degree", "201"], "--max-degree"),
+    ],
+    ids=["verify-paper-bound", "chow-max-degree", "blowup-max-degree"],
+)
+def test_cli_degree_flags_are_capped(capsys, argv, flag):
+    # The graded pieces cost about the cube of the degree: over 10 s at 400.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"{flag} must be at most 200" in capsys.readouterr().err
+
+
+def test_cli_chow_accepts_the_degree_cap(capsys):
+    assert main(["chow", "2", "3", "--max-degree", "200"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "200 | Z/6"
