@@ -177,14 +177,20 @@ def _cmd_pic_complement(args) -> int:
             polynomial=polynomial,
         )
         result = pic_complement(data)
+        # Rendering raises ValueError for an integer past the interpreter's
+        # limit on decimal digits (4300 by default); the parser accepts
+        # coefficients of up to 65,536 bits and unbounded exponents.
+        lines = [
+            f"f = {polynomial.render()}",
+            f"weighted degree {result.character_weight} under weights "
+            f"({', '.join(str(w) for w in data.weights)})",
+            f"Pic = {result.group}",
+            f"assumptions: {'; '.join(result.assumptions)}",
+        ]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"f = {polynomial.render()}")
-    print(f"weighted degree {result.character_weight} under weights "
-          f"({', '.join(str(w) for w in data.weights)})")
-    print(f"Pic = {result.group}")
-    print(f"assumptions: {'; '.join(result.assumptions)}")
+    print("\n".join(lines))
     return 0
 
 

@@ -10,9 +10,14 @@ integer combination of the rows?).  Group shapes come from
 eliminates every +-1 pivot: each one removes a row and a column and
 contributes the factor 1.  The relation matrices of graded pieces (a few
 hundred rows and columns) are mostly +-1 entries, so what remains is
-small.  The remainder is diagonalized by alternating row and column
-Hermite forms, and the diagonal is normalized into a divisibility chain
-with pairwise gcd/lcm.  The Hermite loop reduces the rows below and the
+small, and it is also block-diagonal with many repeated rows.  So the
+repeats are dropped and the remainder is split into blocks that share no
+column (the sparse elimination strategy of Dumas, Saunders and Villard,
+2001).  A block of one row contributes the gcd of its entries; any other
+is diagonalized by alternating row and column Hermite forms.  The
+diagonal of all blocks is returned as it is when its sorted entries
+already form a divisibility chain, and normalized with pairwise gcd/lcm
+otherwise.  The Hermite loop reduces the rows below and the
 entries above each pivot as it goes, which keeps entries small (the
 reduced elimination of Kannan and Bachem, 1979).
 
@@ -218,8 +223,13 @@ def _sparse_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
     The rows are consumed.
     """
     units = _eliminate_unit_pivots(rows)
-    rest = [row for row in rows if row]
-    return [1] * units + _divisibility_chain(_diagonal(rest))
+    diagonal = []
+    for block in _blocks(rows):
+        if len(block) == 1:
+            diagonal.append(gcd(*block[0].values()))
+        else:
+            diagonal += _diagonal(block)
+    return [1] * units + _divisibility_chain(diagonal)
 
 
 def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:
@@ -271,6 +281,39 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:
     return count
 
 
+def _blocks(rows: list[dict[int, int]]) -> list[list[dict[int, int]]]:
+    """The distinct nonzero rows, split into blocks that share no column.
+
+    A repeated row adds nothing to the lattice, and the lattice of rows
+    that fall into column-disjoint blocks is the direct sum of the blocks'
+    lattices, so the invariant factors of the whole are the chain of the
+    blocks' diagonals together.  Blocks are the connected components of
+    the graph that links the columns of each row (a union-find over
+    column indices).
+    """
+    distinct = {frozenset(row.items()): row for row in rows if row}
+    parent: dict[int, int] = {}
+
+    def root(j: int) -> int:
+        parent.setdefault(j, j)
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]  # path halving
+            j = parent[j]
+        return j
+
+    for row in distinct.values():
+        columns = iter(row)
+        first = root(next(columns))
+        for j in columns:
+            other = root(j)
+            if other != first:
+                parent[other] = first
+    blocks: dict[int, list[dict[int, int]]] = {}
+    for row in distinct.values():
+        blocks.setdefault(root(next(iter(row))), []).append(row)
+    return list(blocks.values())
+
+
 def _diagonal(rows: list[dict[int, int]]) -> list[int]:
     """Nonzero entries of a diagonal form of the rows, not yet a chain.
 
@@ -293,12 +336,20 @@ def _diagonal(rows: list[dict[int, int]]) -> list[int]:
 
 
 def _divisibility_chain(diagonal: list[int]) -> list[int]:
-    """Invariant factors of a positive diagonal, by pairwise gcd/lcm."""
-    d = list(diagonal)
+    """Invariant factors of a positive diagonal.
+
+    A diagonal whose sorted entries already divide one another is its own
+    chain; any other is normalized by pairwise gcd/lcm, which skips the
+    pairs that already divide.
+    """
+    d = sorted(diagonal)
+    if all(b % a == 0 for a, b in zip(d, d[1:])):
+        return d
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
+            if d[j] % d[i]:
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
     return d
 
 

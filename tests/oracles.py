@@ -2,7 +2,8 @@
 
 Nothing here shares a code path with the library routines under test:
 determinants are cofactor expansions, invariant factors come from gcds
-of minors, and lattice membership is exhaustive search over a bounded
+of minors, and a diagonal becomes a divisibility chain by prime
+factorization.  Lattice membership is exhaustive search over a bounded
 coefficient box.  Invariant exponent vectors are found by filtering the
 whole degree box, and monoid membership by closing the basis under
 addition.  Relation rows of a graded piece come from ``Poly`` products
@@ -67,6 +68,30 @@ def invariant_factors_via_minor_gcds(matrix) -> list[int]:
         factors.append(g // previous)
         previous = g
     return factors
+
+
+def chain_by_prime_powers(diagonal) -> list[int]:
+    """Invariant factors of a diagonal of small positive integers.
+
+    Each entry is factored by trial division; the k-th largest power of
+    every prime goes into the k-th largest factor.
+    """
+    exponents: dict[int, list[int]] = {}
+    for value in diagonal:
+        p = 2
+        while value > 1:
+            e = 0
+            while value % p == 0:
+                value //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+    chain = [1] * len(diagonal)
+    for p, powers in exponents.items():
+        for k, e in enumerate(sorted(powers, reverse=True)):
+            chain[-1 - k] *= p**e
+    return chain
 
 
 def unimodular_matrices(size: int, bound: int):

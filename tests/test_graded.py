@@ -16,6 +16,7 @@ from wpchow import (
     GradedPresentation,
     InhomogeneousError,
     Poly,
+    cokernel,
     graded_piece,
     hom_check,
     is_zero,
@@ -285,3 +286,25 @@ def test_large_pieces_finish_in_bounded_time():
         piece = graded_piece(presentation, degree)
         assert time.perf_counter() - start < 2.0
         assert piece == ROADMAP_PIECE
+
+
+def test_uncached_graded_piece_hands_dense_rows_to_cokernel(monkeypatch):
+    # The benchmark's tracer reads the matrix sizes, and whether a piece
+    # came from the cache, from this one call; so the rows stay dense lists.
+    calls = []
+
+    def spy(rows, ambient_rank):
+        calls.append((rows, ambient_rank))
+        return cokernel(rows, ambient_rank)
+
+    monkeypatch.setattr("wpchow.graded.cokernel", spy)
+    _graded_piece_cached.cache_clear()
+    basis, _ = _relation_rows(ROADMAP, 8)
+    assert graded_piece(ROADMAP, 8) == ROADMAP_PIECE
+    assert len(calls) == 1
+    rows, ambient_rank = calls[0]
+    assert ambient_rank == len(basis) == 45
+    assert type(rows) is list and len(rows) == 84
+    assert all(type(row) is list and len(row) == len(basis) for row in rows)
+    assert graded_piece(ROADMAP, 8) == ROADMAP_PIECE
+    assert len(calls) == 1

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
 from math import gcd
 
 import pytest
 
 from oracles import (
     brute_force_diagonalizations,
+    chain_by_prime_powers,
     in_row_lattice_brute,
     invariant_factors_via_minor_gcds,
     mat_mul,
@@ -22,6 +24,7 @@ from wpchow import (
     smith_normal_form,
     solve_integer,
 )
+from wpchow.intlinalg import _blocks
 
 
 def _assert_snf_contract(matrix):
@@ -274,6 +277,9 @@ def test_invariant_factors_of_degenerate_shapes():
     assert invariant_factors([[], [], []]) == []
     assert invariant_factors([[0, 0, 0]]) == []
     assert invariant_factors([[0], [0]]) == []
+    assert invariant_factors([[0, 0, 0], [0, 0, 0]]) == []
+    assert _blocks([]) == []
+    assert _blocks([{}, {}]) == []
     assert invariant_factors([[6, -4, 10]]) == [2]
     assert invariant_factors([[0, -1, 7]]) == [1]
     assert invariant_factors([[-12]]) == [12]
@@ -285,6 +291,7 @@ def test_invariant_factors_of_degenerate_shapes():
         row = [rng.randint(-50, 50) for _ in range(rng.randint(1, 8))]
         g = gcd(*row)
         assert invariant_factors([row]) == ([g] if g else [])
+        assert invariant_factors([row, row]) == ([g] if g else [])
         assert invariant_factors([[v] for v in row]) == ([g] if g else [])
     with pytest.raises(ValueError):
         invariant_factors([[1, 2], [3]])
@@ -322,3 +329,132 @@ def test_hermite_form_depends_only_on_the_lattice():
         i, j = rng.sample(range(m), 2)
         mixed[i] = [a + 3 * b for a, b in zip(mixed[i], mixed[j])]
         assert hermite_normal_form(mixed)[0] == h
+
+
+# -- the block split after unit elimination ---------------------------------
+
+
+def _block_diagonal(rng, shapes, values):
+    """A block-diagonal matrix with blocks of the given shapes and entries,
+    its rows and columns shuffled; also returns the blocks."""
+    m, n = sum(r for r, _ in shapes), sum(c for _, c in shapes)
+    matrix = [[0] * n for _ in range(m)]
+    blocks = []
+    top = left = 0
+    for r, c in shapes:
+        block = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
+        for i, row in enumerate(block):
+            matrix[top + i][left : left + c] = row
+        blocks.append(block)
+        top, left = top + r, left + c
+    rng.shuffle(matrix)
+    columns = list(range(n))
+    rng.shuffle(columns)
+    return [[row[j] for j in columns] for row in matrix], blocks
+
+
+def _factors_by_blocks(blocks):
+    """Invariant factors of a block-diagonal matrix, from the minor gcds
+    of each block."""
+    return chain_by_prime_powers(
+        [d for block in blocks for d in invariant_factors_via_minor_gcds(block)]
+    )
+
+
+def test_invariant_factors_of_shuffled_block_diagonal_matrices():
+    rng = random.Random(71)
+    values = [0, 0, 1, -1, 2, -2, 3, 4, -6, 10, 15]
+    for _ in range(300):
+        shapes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+        matrix, blocks = _block_diagonal(rng, shapes, values)
+        expected = _factors_by_blocks(blocks)
+        assert invariant_factors(matrix) == expected
+        assert _smith_diagonal(matrix) == expected
+        if len(matrix) <= 6 and len(matrix[0]) <= 6:
+            assert invariant_factors_via_minor_gcds(matrix) == expected
+
+
+def test_duplicate_and_zero_rows_leave_the_factors_unchanged():
+    # Rows with the same columns but other values span more than either.
+    assert invariant_factors([[2, 3], [4, 5]]) == [1, 2]
+    assert invariant_factors([[2, 3], [4, 5], [2, 3], [0, 0], [4, 5]]) == [1, 2]
+    assert invariant_factors([[6, 10], [6, 10], [-6, -10]]) == [2]
+    rows = [{0: 2, 1: 3}, {}, {0: 2, 1: 3}, {0: 4, 1: 5}, {1: 3, 0: 2}]
+    assert _blocks(rows) == [[{0: 2, 1: 3}, {0: 4, 1: 5}]]
+    rng = random.Random(73)
+    for kind in ("unit-heavy", "rank-deficient", "zero-lines"):
+        for _ in range(60):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            matrix = _random_matrix(rng, kind, m, n)
+            padded = matrix + [rng.choice(matrix)[:] for _ in range(rng.randint(1, m))]
+            padded += [[0] * n for _ in range(rng.randint(0, 2))]
+            rng.shuffle(padded)
+            assert invariant_factors(padded) == _smith_diagonal(matrix)
+
+
+def test_blocks_linked_through_one_column_stay_one_block():
+    # The first four rows form two groups, on columns 0-1 and 3-4.  The
+    # last row holds column 1 of one and column 3 of the other, so all
+    # five rows are one block, and the union-find must merge two roots.
+    rows = [{0: 2, 1: 4}, {0: 6}, {3: 10, 4: 4}, {4: 6}, {1: 3, 3: 9}]
+    blocks = _blocks([dict(row) for row in rows])
+    assert len(blocks) == 1 and len(blocks[0]) == 5
+    rng = random.Random(79)
+    values = [2, -2, 3, 4, 6, -9, 10]
+    for _ in range(100):
+        shapes = [(rng.randint(1, 3), rng.randint(2, 3)) for _ in range(2)]
+        matrix, _ = _block_diagonal(rng, shapes, values)
+        # One entry puts a column of one block into a row of the other.
+        for row in matrix:
+            zero = [j for j, v in enumerate(row) if v == 0]
+            if zero:
+                row[rng.choice(zero)] = rng.choice(values)
+                break
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+        assert len(_blocks(sparse)) == 1
+        expected = _smith_diagonal(matrix)
+        assert invariant_factors(matrix) == expected
+        if len(matrix) <= 6:
+            assert invariant_factors_via_minor_gcds(matrix) == expected
+
+
+def test_diagonals_become_a_divisibility_chain():
+    assert invariant_factors([[4, 0], [0, 6]]) == [2, 12]
+    assert invariant_factors([[6, 0], [0, 2]]) == [2, 6]
+    assert invariant_factors([[0, 9], [3, 0]]) == [3, 9]
+    assert invariant_factors([[12, 0, 0], [0, 18, 0], [0, 0, 8]]) == [2, 12, 72]
+    assert AbelianGroupShape.cyclic(6).direct_sum(AbelianGroupShape.cyclic(2)) == AbelianGroupShape(0, (2, 6))
+    rng = random.Random(83)
+    for _ in range(200):
+        diagonal = [rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 30, 60]) for _ in range(rng.randint(1, 12))]
+        matrix = [[d if i == j else 0 for j in range(len(diagonal))] for i, d in enumerate(diagonal)]
+        rng.shuffle(matrix)
+        assert invariant_factors(matrix) == chain_by_prime_powers(diagonal)
+
+
+def test_shuffled_block_diagonal_matrices_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    rng = random.Random(97)
+    values = [0, 1, -1, 2, -3, 4, 6, 10]
+    for count in (8, 16):
+        shapes = [(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(count)]
+        matrix, blocks = _block_diagonal(rng, shapes, values)
+        matrix += [row[:] for row in rng.sample(matrix, 5)]
+        expected = [int(f) for f in sympy_factors(sympy.Matrix(matrix), domain=sympy.ZZ) if f]
+        assert expected == _factors_by_blocks(blocks)
+        assert invariant_factors(matrix) == expected
+
+
+def test_many_block_lattice_finishes_in_bounded_time():
+    # 400 blocks of 3 x 2 with no +-1 entry, rows and columns shuffled:
+    # 1,200 x 800.  Diagonalizing it as one matrix took 0.4-0.56 s; block
+    # by block it takes ~0.05 s (2-CPU Linux container, Python 3.11).
+    rng = random.Random(400)
+    values = [2, 3, 4, 5, 6, -2, -3, -4, -6, 10, 15]
+    matrix, blocks = _block_diagonal(rng, [(3, 2)] * 400, values)
+    start = time.perf_counter()
+    factors = invariant_factors(matrix)
+    assert time.perf_counter() - start < 0.3
+    assert factors == _factors_by_blocks(blocks)

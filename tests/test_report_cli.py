@@ -211,6 +211,23 @@ def test_cli_pic_complement_rejects_expansions_over_the_budget(capsys):
     assert "Pic = Z/1000000000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3^14000*x",  # a 22,189-bit coefficient, under the parser's 65,536-bit cap
+        "(" * 50 + "x" + (")^" + "9" * 99) * 50,  # a 4,950-digit exponent
+    ],
+    ids=["coefficient", "exponent"],
+)
+def test_cli_pic_complement_numbers_too_long_to_print_are_an_error(capsys, text):
+    # Both parse, but printing them passes the interpreter's limit of 4300
+    # decimal digits per integer; that used to end in a traceback and exit 1.
+    assert main(["pic-complement", "1", "--poly", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "digits" in captured.err
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
