@@ -80,7 +80,6 @@ from .poly import (
     Monomial,
     Poly,
     WeightedGrading,
-    is_homogeneous,
     parse_poly,
     substitute,
     weighted_degree,
@@ -143,7 +142,6 @@ __all__ = [
     "hom_check",
     "invariant_factors",
     "invariant_ring_check",
-    "is_homogeneous",
     "is_zero",
     "iso_test",
     "j_invariant",

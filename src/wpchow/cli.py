@@ -177,21 +177,34 @@ def _cmd_pic_complement(args) -> int:
             polynomial=polynomial,
         )
         result = pic_complement(data)
-        # Rendering raises ValueError for an integer past the interpreter's
-        # limit on decimal digits (4300 by default); the parser accepts
-        # coefficients of up to 65,536 bits and unbounded exponents.
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # Turning an integer into decimal text raises ValueError past the
+    # interpreter's limit on digits (4300 by default); the parser accepts
+    # coefficients of up to 65,536 bits and unbounded exponents.
+    try:
+        rendered = polynomial.render()
+    except ValueError:
+        return _too_long_to_print("f has a coefficient or exponent")
+    try:
         lines = [
-            f"f = {polynomial.render()}",
+            f"f = {rendered}",
             f"weighted degree {result.character_weight} under weights "
             f"({', '.join(str(w) for w in data.weights)})",
             f"Pic = {result.group}",
             f"assumptions: {'; '.join(result.assumptions)}",
         ]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError:
+        return _too_long_to_print("the weighted degree of f is")
     print("\n".join(lines))
     return 0
+
+
+def _too_long_to_print(subject: str) -> int:
+    limit = sys.get_int_max_str_digits()
+    print(f"error: {subject} too long to print (over {limit} decimal digits)", file=sys.stderr)
+    return 2
 
 
 def _cmd_verify(args) -> int:

@@ -217,10 +217,10 @@ def short_discriminant(short: ShortWeierstrass) -> Fraction:
 
 @lru_cache(maxsize=1)
 def discriminant_polynomial() -> Poly:
-    """The discriminant as a polynomial in a2, a3, a4, graded by (2, 3, 4)."""
+    """The discriminant as a polynomial in a2, a3, a4; homogeneous of
+    degree 12 under :func:`coordinate_grading`."""
     a2, a3, a4 = (Poly.variable(v) for v in ("a2", "a3", "a4"))
-    poly = 4 * a4**3 + 27 * (a3**2 - a2**3 - a2 * a4) ** 2
-    return poly.with_grading(coordinate_grading())
+    return 4 * a4**3 + 27 * (a3**2 - a2**3 - a2 * a4) ** 2
 
 
 def j_invariant(short: ShortWeierstrass) -> Fraction:

@@ -325,7 +325,7 @@ def quotient(
 
 def _coerce_image(
     target: GradedPresentation,
-    value: Union[GradedElement, Poly, str, int],
+    value: Union[GradedElement, Poly, str, int, Fraction],
     expected_degree: int,
     generator: str,
 ) -> GradedElement:
@@ -337,17 +337,13 @@ def _coerce_image(
                 f"image of {generator!r} has degree {value.degree}, expected {expected_degree}"
             )
         return value
-    if isinstance(value, str):
-        value = parse_poly(value)
-    elif isinstance(value, int):
-        value = Poly.constant(value)
-    return GradedElement(target, value, expected_degree)
+    return GradedElement.of(target, value, expected_degree)
 
 
 def hom_check(
     source: GradedPresentation,
     target: GradedPresentation,
-    images: Mapping[str, Union[GradedElement, Poly, str, int]],
+    images: Mapping[str, Union[GradedElement, Poly, str, int, Fraction]],
 ) -> bool:
     """Check that generator images define a graded ring homomorphism.
 

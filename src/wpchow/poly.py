@@ -1,8 +1,8 @@
-"""Exact multivariate polynomials over Q with optional weighted gradings.
+"""Exact multivariate polynomials over Q and their weighted degrees.
 
 A polynomial is a sparse map from monomials to nonzero rational
 coefficients (``fractions.Fraction``).  Terms are kept in a fixed
-graded-lex order: higher degree first, lexicographic tie-break on
+graded-lex order: higher total degree first, lexicographic tie-break on
 exponent vectors with variables sorted by name.  Rendering the same
 polynomial therefore always produces the same text, and the parser
 accepts exactly the rendered syntax (integers, rational literals
@@ -14,9 +14,9 @@ parenthesised factor is expanded with ``Poly`` products.  Every product,
 of either kind, is charged to a fixed budget of term products and
 checked against a coefficient size limit, so hostile text fails fast.
 
-A :class:`WeightedGrading` assigns an integer weight to every variable;
-attached to a polynomial it drives the term order and degree bookkeeping,
-otherwise every variable counts with weight 1.
+A :class:`WeightedGrading` assigns an integer weight to every variable.
+A polynomial carries no grading of its own: :func:`weighted_degree` takes
+the polynomial and the grading to measure it by.
 
 All values are immutable after construction and safe to share between
 threads; arithmetic always returns new objects.
@@ -36,7 +36,6 @@ __all__ = [
     "Monomial",
     "Poly",
     "WeightedGrading",
-    "is_homogeneous",
     "parse_poly",
     "substitute",
     "weighted_degree",
@@ -74,18 +73,11 @@ class WeightedGrading:
         self._map = mapping
         self._items = tuple(sorted(mapping.items()))
 
-    @property
-    def weights(self) -> dict[str, int]:
-        return dict(self._items)
-
     def weight(self, name: str) -> int:
         try:
             return self._map[name]
         except KeyError:
             raise KeyError(f"no weight assigned to variable {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._map
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGrading):
@@ -146,9 +138,7 @@ class Monomial:
     def total_degree(self) -> int:
         return sum(exp for _, exp in self.exponents)
 
-    def degree(self, grading: Optional[WeightedGrading]) -> int:
-        if grading is None:
-            return self.total_degree
+    def degree(self, grading: WeightedGrading) -> int:
         return sum(exp * grading.weight(name) for name, exp in self.exponents)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
@@ -217,9 +207,9 @@ Monomial.ONE = Monomial(())
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("_terms", "_grading", "_hash")
+    __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms=(), grading: Optional[WeightedGrading] = None):
+    def __init__(self, terms=()):
         accumulated: dict[Monomial, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, coeff in items:
@@ -231,16 +221,11 @@ class Poly:
                 coeff = Fraction(coeff)
             previous = accumulated.get(mono)
             accumulated[mono] = coeff if previous is None else previous + coeff
-        self._set_terms(accumulated, grading)
+        self._set_terms(accumulated)
 
-    def _set_terms(self, accumulated: dict, grading: Optional[WeightedGrading]) -> None:
-        """Drop zero coefficients, check the grading covers every variable
-        and store the terms in canonical order."""
+    def _set_terms(self, accumulated: dict) -> None:
+        """Drop zero coefficients and store the terms in canonical order."""
         nonzero = [mono for mono, coeff in accumulated.items() if coeff]
-        if grading is not None:
-            for mono in nonzero:
-                for name, _ in mono.exponents:
-                    grading.weight(name)
         if len(nonzero) > 1:
             # Ties in degree are broken lexicographically on the exponent
             # vectors over the sorted variables.  Comparing the sparse pairs
@@ -255,42 +240,37 @@ class Poly:
 
             def term_key(mono: Monomial):
                 return (
-                    mono.degree(grading),
+                    mono.total_degree,
                     tuple([(rank[name], exp) for name, exp in mono.exponents]),
                 )
 
             nonzero.sort(key=term_key, reverse=True)
         self._terms = {mono: accumulated[mono] for mono in nonzero}
-        self._grading = grading
         self._hash = None
 
     @classmethod
-    def _from_sums(cls, accumulated: dict, grading: Optional[WeightedGrading]) -> "Poly":
+    def _from_sums(cls, accumulated: dict) -> "Poly":
         """A polynomial from a map of monomials to ``Fraction`` sums, which
         may be zero; skips the per-term checks of the public constructor."""
         poly = object.__new__(cls)
-        poly._set_terms(accumulated, grading)
+        poly._set_terms(accumulated)
         return poly
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, grading: Optional[WeightedGrading] = None) -> "Poly":
-        return cls((), grading)
+    def zero(cls) -> "Poly":
+        return cls()
 
     @classmethod
-    def constant(cls, value: Coeff, grading: Optional[WeightedGrading] = None) -> "Poly":
-        return cls({Monomial.ONE: Fraction(value)}, grading)
+    def constant(cls, value: Coeff) -> "Poly":
+        return cls({Monomial.ONE: Fraction(value)})
 
     @classmethod
-    def variable(cls, name: str, grading: Optional[WeightedGrading] = None) -> "Poly":
-        return cls({Monomial.of({name: 1}): Fraction(1)}, grading)
+    def variable(cls, name: str) -> "Poly":
+        return cls({Monomial.of({name: 1}): Fraction(1)})
 
     # -- inspection -----------------------------------------------------
-
-    @property
-    def grading(self) -> Optional[WeightedGrading]:
-        return self._grading
 
     @property
     def is_zero(self) -> bool:
@@ -319,9 +299,6 @@ class Poly:
     def has_integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self._terms.values())
 
-    def with_grading(self, grading: Optional[WeightedGrading]) -> "Poly":
-        return Poly(self._terms, grading)
-
     # -- arithmetic -----------------------------------------------------
 
     @staticmethod
@@ -332,21 +309,6 @@ class Poly:
             return Poly.constant(value)
         return None
 
-    def _merged_grading(self, other: "Poly") -> Optional[WeightedGrading]:
-        left, right = self._grading, other._grading
-        if left is None:
-            return right
-        if right is None or left == right:
-            return left
-        merged = left.weights
-        for name, weight in right.weights.items():
-            if merged.setdefault(name, weight) != weight:
-                raise ValueError(
-                    f"incompatible gradings: variable {name!r} has weights "
-                    f"{merged[name]} and {weight}"
-                )
-        return WeightedGrading(merged)
-
     def __add__(self, other) -> "Poly":
         other = Poly._coerce(other)
         if other is None:
@@ -355,12 +317,12 @@ class Poly:
         for mono, coeff in other._terms.items():
             previous = result.get(mono)
             result[mono] = coeff if previous is None else previous + coeff
-        return Poly._from_sums(result, self._merged_grading(other))
+        return Poly._from_sums(result)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._from_sums({m: -c for m, c in self._terms.items()}, self._grading)
+        return Poly._from_sums({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = Poly._coerce(other)
@@ -385,14 +347,14 @@ class Poly:
                 product = coeff_a * coeff_b
                 previous = result.get(mono)
                 result[mono] = product if previous is None else previous + product
-        return Poly._from_sums(result, self._merged_grading(other))
+        return Poly._from_sums(result)
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Poly":
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = Poly.constant(1, self._grading)
+        result = Poly.constant(1)
         base = self
         while power:
             if power & 1:
@@ -455,8 +417,7 @@ def substitute(poly: Poly, assignment: Mapping[str, Union[Poly, Coeff]]) -> Poly
     """Simultaneously substitute polynomials for variables.
 
     Variables absent from ``assignment`` are kept fixed, so the empty
-    assignment is the identity.  The substitution is a ring homomorphism;
-    the result carries no grading context (the target variables are new).
+    assignment is the identity.  The substitution is a ring homomorphism.
     """
     images: dict[str, Poly] = {}
     for name, value in assignment.items():
@@ -476,33 +437,20 @@ def substitute(poly: Poly, assignment: Mapping[str, Union[Poly, Coeff]]) -> Poly
     return total
 
 
-def weighted_degree(poly: Poly, grading: Optional[WeightedGrading] = None) -> int:
+def weighted_degree(poly: Poly, grading: WeightedGrading) -> int:
     """Degree of a homogeneous polynomial under ``grading``.
 
-    Falls back to the polynomial's attached grading context when none is
-    passed.  Raises :class:`InhomogeneousError` (carrying the set of term
-    degrees) if the terms do not all have the same degree, and
-    ``ValueError`` for the zero polynomial, which has no degree.
+    Raises :class:`InhomogeneousError` (carrying the set of term degrees)
+    if the terms do not all have the same degree, ``ValueError`` for the
+    zero polynomial, which has no degree, and ``KeyError`` for a variable
+    that ``grading`` does not weigh.
     """
-    g = grading if grading is not None else poly.grading
-    if g is None:
-        raise ValueError("no grading supplied and the polynomial carries none")
     if poly.is_zero:
         raise ValueError("the zero polynomial has no weighted degree")
-    degrees = {mono.degree(g) for mono in poly.monomials()}
+    degrees = {mono.degree(grading) for mono in poly.monomials()}
     if len(degrees) > 1:
         raise InhomogeneousError(degrees)
     return degrees.pop()
-
-
-def is_homogeneous(poly: Poly, grading: Optional[WeightedGrading] = None) -> bool:
-    if poly.is_zero:
-        return True
-    try:
-        weighted_degree(poly, grading)
-    except InhomogeneousError:
-        return False
-    return True
 
 
 # Each product of two terms costs a coefficient product, about 10 us in
@@ -632,7 +580,7 @@ class _Parser:
         if token == "(":
             inner = self.expression()
             self.expect(")")
-            return _poly(inner, None)
+            return _poly(inner)
         raise ValueError(f"unexpected token {token!r}")
 
     def charge(self, products: int, bits: int) -> None:
@@ -704,10 +652,9 @@ def _coefficient_bits(poly: Poly) -> int:
     return max((_bits(c) for _, c in poly.terms()), default=0)
 
 
-def _poly(sums: dict[Monomial, Coeff], grading: Optional[WeightedGrading]) -> Poly:
+def _poly(sums: dict[Monomial, Coeff]) -> Poly:
     return Poly._from_sums(
-        {mono: c if c.__class__ is Fraction else Fraction(c) for mono, c in sums.items() if c},
-        grading,
+        {mono: c if c.__class__ is Fraction else Fraction(c) for mono, c in sums.items() if c}
     )
 
 
@@ -715,14 +662,14 @@ def _as_poly(value) -> Poly:
     if value.__class__ is Poly:
         return value
     coeff, exps = value
-    return _poly({_monomial(exps): coeff}, None)
+    return _poly({_monomial(exps): coeff})
 
 
 def _monomial(exps: dict[str, int]) -> Monomial:
     return _valid_monomial(tuple(sorted(exps.items())))
 
 
-def parse_poly(text: str, grading: Optional[WeightedGrading] = None) -> Poly:
+def parse_poly(text: str) -> Poly:
     """Parse the canonical text syntax back into a polynomial.
 
     Raises ``ValueError`` on malformed text, including nesting deeper than
@@ -734,4 +681,4 @@ def parse_poly(text: str, grading: Optional[WeightedGrading] = None) -> Poly:
         sums = _Parser(text).parse()
     except RecursionError:
         raise ValueError("polynomial text is nested too deeply") from None
-    return _poly(sums, grading)
+    return _poly(sums)

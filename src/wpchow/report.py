@@ -35,6 +35,7 @@ from .blowup import (
 from .curves import (
     IntermediateCoeffs,
     ShortWeierstrass,
+    coordinate_grading,
     discriminant,
     discriminant_polynomial,
     fiber_curve,
@@ -361,7 +362,7 @@ def build_report(bound: int = 8, self_test: bool = False) -> VerificationReport:
         "weighted degree of the discriminant under weights (2,3,4)",
         "the scaling character on the discriminant is lambda -> lambda^12",
         "12",
-        str(weighted_degree(discriminant_polynomial())),
+        str(weighted_degree(discriminant_polynomial(), coordinate_grading())),
     )
     add(
         "pic-complement-disc",

@@ -93,7 +93,7 @@ def test_discriminant_consistency_symbolic():
     beta4 = a4
     beta6 = a3**2 - a2**3 - a2 * a4
     composed = 4 * beta4**3 + 27 * beta6**2
-    assert composed == discriminant_polynomial().with_grading(None)
+    assert composed == discriminant_polynomial()
     assert weighted_degree(discriminant_polynomial(), coordinate_grading()) == 12
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -138,6 +139,14 @@ def test_hom_check_degree_mismatch():
     wrong_degree_element = GradedElement.of(M12, "t^2", 2)
     with pytest.raises(DegreeMismatchError):
         hom_check(M12BAR, M12, {"x": wrong_degree_element, "y": 0})
+
+
+def test_hom_check_fraction_images():
+    # A Fraction image is a constant, of degree 0, like an int image.
+    with pytest.raises(DegreeMismatchError):
+        hom_check(M12BAR, M12, {"x": Fraction(1), "y": 0})
+    with pytest.raises(ValueError, match="integer coefficients"):
+        hom_check(M12BAR, M12, {"x": Fraction(1, 2), "y": 0})
 
 
 def test_hom_check_unit_preserved():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wpchow import VerificationReport, build_report
+from wpchow import VerificationReport, WeightedGrading, build_report
 from wpchow.cli import main
 
 
@@ -72,6 +72,19 @@ def test_self_test_fails_assembly_item(self_test_report):
     failing = {item.id for item in self_test_report.items if item.status == "fail"}
     assert failing == {"m12bar-assembly"}
     assert not self_test_report.all_passed
+
+
+def test_disc_weighted_degree_fails_under_another_grading(monkeypatch):
+    # The item measures the discriminant by the grading it is handed, and by
+    # nothing else: doubling every weight doubles the degree it reports.
+    monkeypatch.setattr(
+        "wpchow.report.coordinate_grading",
+        lambda: WeightedGrading({"a2": 4, "a3": 6, "a4": 8}),
+    )
+    by_id = {item.id: item for item in build_report(bound=4).items}
+    assert by_id["disc-weighted-degree"].status == "fail"
+    assert by_id["disc-weighted-degree"].actual == "24"
+    assert by_id["pic-complement-disc"].status == "pass"
 
 
 def test_expected_headline_values(report):
@@ -226,6 +239,18 @@ def test_cli_pic_complement_numbers_too_long_to_print_are_an_error(capsys, text)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "digits" in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+    assert "f has a coefficient or exponent too long to print" in captured.err
+
+
+def test_cli_pic_complement_degree_too_long_to_print_is_an_error(capsys):
+    # f prints, but a 4,300-digit weight times a 4,300-digit exponent does not.
+    digits = "9" * 4300
+    assert main(["pic-complement", digits, "--poly", f"x^{digits}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the weighted degree of f is too long to print")
+    assert "set_int_max_str_digits" not in captured.err
 
 
 GOLDEN = Path(__file__).parent / "golden"
