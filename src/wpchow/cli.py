@@ -13,6 +13,7 @@ e.g. ``wpchow curve fixed -- -3 2``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -21,8 +22,6 @@ from .blowup import (
     BlowupData,
     exceptional_selfintersection,
     invariant_ring_check,
-    m12_open_chow,
-    m12bar_chow,
     restriction_hom,
 )
 from .curves import (
@@ -108,15 +107,14 @@ def _cmd_blowup(args) -> int:
     print(f"invariant ring check up to total degree {args.invariant_bound}: "
           f"{'pass' if ok else 'FAIL'}")
     if (data.w1, data.w2) == (4, 6):
+        # restriction_hom builds both moduli rings; print them from it.
+        hom = restriction_hom(args.max_degree)
         print()
         print("moduli assembly (blow-up of the cusp of P(2, 3, 4)):")
-        compactified = m12bar_chow(args.max_degree)
-        print(f"  compactified 2-pointed moduli: {compactified.render()}")
-        _print_pieces(compactified, args.max_degree)
-        open_part = m12_open_chow(args.max_degree)
-        print(f"  open 2-pointed moduli: {open_part.render()}")
+        print(f"  compactified 2-pointed moduli: {hom.source.render()}")
+        _print_pieces(hom.source, args.max_degree)
+        print(f"  open 2-pointed moduli: {hom.target.render()}")
         print(f"    degreewise equal to Z[t]/(12*t) up to degree {args.max_degree}")
-        hom = restriction_hom(args.max_degree)
         image_text = ", ".join(
             f"{name} -> {element.value.render()}" for name, element in hom.images
         )
@@ -314,7 +312,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--max-degree must be at most {MAX_DEGREE}")
     if getattr(args, "invariant_bound", 0) > MAX_INVARIANT_BOUND:
         parser.error(f"--invariant-bound must be at most {MAX_INVARIANT_BOUND}")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # Output still buffered would otherwise fail at exit, out of reach.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``wpchow ... | head``): point the rest
+        # of the output at devnull so the exit-time flush succeeds, and
+        # exit as a shell reports a writer killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from math import isqrt, lcm
+from typing import Optional, Union
 
 from ._record import frozen_record
 from .poly import Poly, WeightedGrading, substitute
@@ -282,19 +282,6 @@ def _fraction_nth_root(value: Fraction, n: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) = x*a + y*b."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 def iso_test(
     first: MarkedCurveCoeffs, second: MarkedCurveCoeffs
 ) -> Optional[Fraction]:
@@ -304,38 +291,30 @@ def iso_test(
     None when no rational lambda works.  Over Q only: None does not rule
     out an isomorphism over an extension field.
     """
-    pairs = (
+    ratios: dict[int, Fraction] = {}
+    for weight, left, right in (
         (2, first.a2, second.a2),
         (3, first.a3, second.a3),
         (4, first.a4, second.a4),
-    )
-    constraints: list[tuple[int, Fraction]] = []
-    for weight, left, right in pairs:
+    ):
         if (left == 0) != (right == 0):
             return None
         if left != 0:
-            constraints.append((weight, left / right))
-    if not constraints:
+            ratios[weight] = left / right
+    if not ratios:
         return Fraction(1)
-
-    # Combine the constraints lambda^k = ratio into lambda^g = mu for
-    # g = gcd of the exponents, via an integer combination of them.
-    g, coefficients = constraints[0][0], [1]
-    for weight, _ in constraints[1:]:
-        g, x, y = _extended_gcd(g, weight)
-        coefficients = [c * x for c in coefficients] + [y]
-    mu = Fraction(1)
-    for (_, ratio), c in zip(constraints, coefficients):
-        mu *= ratio**c
-    if g == 1:
-        candidate = mu
+    # Weights 3 and a neighbour pin lambda as a quotient of their ratios;
+    # otherwise it is a root of the ratio of the least weight present.
+    if 3 in ratios and 2 in ratios:
+        candidate = ratios[3] / ratios[2]
+    elif 3 in ratios and 4 in ratios:
+        candidate = ratios[4] / ratios[3]
     else:
-        candidate = _fraction_nth_root(mu, g)
-        if candidate is None:
-            return None
-    if candidate == 0:
+        least = min(ratios)
+        candidate = _fraction_nth_root(ratios[least], least)
+    if candidate is None:
         return None
-    for weight, ratio in constraints:
+    for weight, ratio in ratios.items():
         if candidate**weight != ratio:
             return None
     return candidate
@@ -353,86 +332,53 @@ class Mu2FixedPoint:
     coords: tuple[Fraction, Fraction, Fraction]
 
 
-def _divisors(value: int) -> list[int]:
-    value = abs(value)
-    small, large = [], []
-    d = 1
-    while d * d <= value:
-        if value % d == 0:
-            small.append(d)
-            if d != value // d:
-                large.append(value // d)
-        d += 1
-    return small + large[::-1]
+def _first_cubic_root(short: ShortWeierstrass) -> Optional[Fraction]:
+    """One rational root of x^3 + beta4*x + beta6, or None if it has none.
 
-
-def _divide_by_linear(
-    coeffs: Sequence[Fraction], root: Fraction
-) -> tuple[list[Fraction], Fraction]:
-    """Synthetic division of sum(coeffs[i] * x^i) by (x - root)."""
-    quotient: list[Fraction] = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + root * carry
-        quotient[i - 1] = carry
-    remainder = coeffs[0] + root * carry
-    return quotient, remainder
-
-
-def _find_rational_root(coeffs: Sequence[Fraction]) -> Optional[Fraction]:
-    """One rational root via divisor search on the primitive integer model."""
-    denominator_lcm = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denominator_lcm) for c in coeffs]
-    content = gcd(*ints)
-    if content:
-        ints = [v // content for v in ints]
-    if ints[0] == 0:
+    With m the lcm of the two denominators, the cubic's primitive integer
+    model is c3*x^3 + c1*x + c0 = m*(x^3 + beta4*x + beta6) (its content is
+    1).  A root a/b in lowest terms has a dividing c0, and b^2 dividing c3:
+    for p | b the term a^3, a p-adic unit, must cancel against beta4*a*b^2
+    or beta6*b^3.  Trial division lists those b once and walks the divisors
+    of c0 up to isqrt|c0|, stopping at the first root.
+    """
+    c3 = lcm(short.beta4.denominator, short.beta6.denominator)
+    c1, c0 = int(short.beta4 * c3), int(short.beta6 * c3)
+    if c0 == 0:
         return Fraction(0)
-    lead = ints[-1]
-    for p in _divisors(ints[0]):
-        for q in _divisors(lead):
-            for sign in (1, -1):
-                candidate = Fraction(sign * p, q)
-                if sum(c * candidate**i for i, c in enumerate(ints)) == 0:
-                    return candidate
-    return None
-
-
-def _rational_roots(coeffs: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, highest root first."""
-    work = [Fraction(c) for c in coeffs]
-    while work and work[-1] == 0:
-        work.pop()
-    roots: dict[Fraction, int] = {}
-    while len(work) > 1:
-        root = _find_rational_root(work)
-        if root is None:
-            break
-        multiplicity = 0
-        while len(work) > 1:
-            quotient, remainder = _divide_by_linear(work, root)
-            if remainder != 0:
-                break
-            work = quotient
-            multiplicity += 1
-        roots[root] = roots.get(root, 0) + multiplicity
-    return sorted(roots.items(), key=lambda item: item[0], reverse=True)
+    denominators = [b for b in range(1, isqrt(c3) + 1) if c3 % (b * b) == 0]
+    return next(
+        (
+            Fraction(a, b)
+            for d in range(1, isqrt(abs(c0)) + 1)
+            if c0 % d == 0
+            for a in (d, -d, c0 // d, -c0 // d)
+            for b in denominators
+            if c3 * a**3 + c1 * a * b * b + c0 * b**3 == 0
+        ),
+        None,
+    )
 
 
 def mu2_fixed_points(short: ShortWeierstrass) -> list[Mu2FixedPoint]:
     """Fixed points of the involution y -> -y on the fiber, over Q.
 
     These are the points with y = 0, i.e. the rational roots of
-    x^3 + beta4*x + beta6, reported with their weight-(2, 3, 4) stack
-    coordinates [x, 0, beta4].  Root finding is a divisor search on the
-    primitive integer model, so only Q-rational fixed points appear.
+    x^3 + beta4*x + beta6, highest first with their multiplicities, and
+    reported with their weight-(2, 3, 4) stack coordinates [x, 0, beta4].
+    :func:`_first_cubic_root` finds one root r; the other two are the roots
+    of the quotient x^2 + r*x + (r^2 + beta4), rational exactly when its
+    discriminant -3*r^2 - 4*beta4 is a rational square.  Only Q-rational
+    fixed points appear.
     """
-    cubic = [short.beta6, short.beta4, Fraction(0), Fraction(1)]
+    root = _first_cubic_root(short)
+    if root is None:
+        return []
+    roots = [root]
+    s = _fraction_nth_root(-3 * root * root - 4 * short.beta4, 2)
+    if s is not None:
+        roots += [(s - root) / 2, (-s - root) / 2]
     return [
-        Mu2FixedPoint(
-            x=root,
-            multiplicity=multiplicity,
-            coords=(root, Fraction(0), short.beta4),
-        )
-        for root, multiplicity in _rational_roots(cubic)
+        Mu2FixedPoint(x=x, multiplicity=roots.count(x), coords=(x, Fraction(0), short.beta4))
+        for x in sorted(set(roots), reverse=True)
     ]

@@ -25,6 +25,7 @@ threads; arithmetic always returns new objects.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
@@ -470,10 +471,17 @@ _END = (None, None)
 
 def _tokenize(text: str) -> list[tuple[int, str]]:
     """``(kind, text)`` pairs, ``kind`` one of ``_NUMBER``, ``_NAME`` and
-    ``_SYMBOL``."""
+    ``_SYMBOL``.  A number longer than the interpreter converts to an
+    integer (4,300 digits by default; 0 means no limit) is refused here."""
     tokens = []
+    digits = sys.get_int_max_str_digits()
     for number, name, symbol, other in _TOKEN.findall(text):
         if number:
+            if digits and len(number) > digits:
+                raise ValueError(
+                    f"polynomial text has a number of {len(number)} digits, "
+                    f"over the limit of {digits}"
+                )
             tokens.append((_NUMBER, number))
         elif name:
             tokens.append((_NAME, name))

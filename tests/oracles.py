@@ -8,7 +8,9 @@ coefficient box.  Invariant exponent vectors are found by filtering the
 whole degree box, and monoid membership by closing the basis under
 addition.  Relation rows of a graded piece come from ``Poly`` products
 over monomials found by filtering the exponent box, and polynomial text
-is parsed with one ``Poly`` product per factor.
+is parsed with one ``Poly`` product per factor.  Rational roots of a
+polynomial come from a divisor search over every p/q candidate of the
+rational root theorem, with synthetic division.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from wpchow.poly import _COEFFICIENT_BITS, _PRODUCT_BUDGET, Monomial, Poly
 
@@ -334,3 +336,70 @@ class _ProductParser:
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token):
             return Poly.variable(token)
         raise ValueError(f"unexpected token {token!r}")
+
+
+def _divisors(value: int) -> list[int]:
+    value = abs(value)
+    small, large = [], []
+    d = 1
+    while d * d <= value:
+        if value % d == 0:
+            small.append(d)
+            if d != value // d:
+                large.append(value // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _divide_by_linear(coeffs, root):
+    """Synthetic division of sum(coeffs[i] * x^i) by (x - root)."""
+    quotient = [Fraction(0)] * (len(coeffs) - 1)
+    carry = Fraction(0)
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry = coeffs[i] + root * carry
+        quotient[i - 1] = carry
+    remainder = coeffs[0] + root * carry
+    return quotient, remainder
+
+
+def _find_rational_root(coeffs):
+    """One rational root via divisor search on the primitive integer model."""
+    denominator_lcm = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denominator_lcm) for c in coeffs]
+    content = gcd(*ints)
+    if content:
+        ints = [v // content for v in ints]
+    if ints[0] == 0:
+        return Fraction(0)
+    n = len(ints) - 1
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            for signed in (p, -p):
+                # q^n * f(signed / q), in integers
+                if sum(c * signed**i * q ** (n - i) for i, c in enumerate(ints)) == 0:
+                    return Fraction(signed, q)
+    return None
+
+
+def rational_roots_by_divisor_search(coeffs) -> list[tuple[Fraction, int]]:
+    """All rational roots of sum(coeffs[i] * x^i) with multiplicities,
+    highest root first: candidates p/q with p dividing the constant and q
+    the leading coefficient of the primitive integer model, each root
+    divided out by synthetic division as often as it divides."""
+    work = [Fraction(c) for c in coeffs]
+    while work and work[-1] == 0:
+        work.pop()
+    roots: dict[Fraction, int] = {}
+    while len(work) > 1:
+        root = _find_rational_root(work)
+        if root is None:
+            break
+        multiplicity = 0
+        while len(work) > 1:
+            quotient, remainder = _divide_by_linear(work, root)
+            if remainder != 0:
+                break
+            work = quotient
+            multiplicity += 1
+        roots[root] = roots.get(root, 0) + multiplicity
+    return sorted(roots.items(), key=lambda item: item[0], reverse=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from wpchow import (
     weierstrass_substitution_residual,
     weighted_degree,
 )
+
+from oracles import rational_roots_by_divisor_search
 
 
 def test_coefficient_denominators_restricted_to_z16():
@@ -169,6 +172,29 @@ def test_iso_implies_equal_j_and_map_equivariance():
             checked += 1
 
 
+def test_iso_test_recovers_random_scalings_and_rejects_a_moved_a4():
+    rng = random.Random(83)
+    denominators = (1, 2, 3, 4, 6, 8, 9, 12)
+    for _ in range(2_000):
+        base = MarkedCurveCoeffs(
+            Fraction(rng.randint(-40, 40), rng.choice(denominators)),
+            Fraction(rng.randint(-40, 40), rng.choice(denominators)),
+            Fraction(rng.choice((0, rng.randint(-40, 40))), rng.choice(denominators)),
+        )
+        if base.a2 == 0 and base.a3 == 0:
+            continue
+        scale = Fraction(rng.randint(1, 30), rng.choice(denominators)) * rng.choice((1, -1))
+        scaled = MarkedCurveCoeffs(
+            scale**2 * base.a2, scale**3 * base.a3, scale**4 * base.a4
+        )
+        # Without the odd weight only lambda^2 is pinned: the positive root.
+        assert iso_test(scaled, base) == (scale if base.a3 else abs(scale))
+        moved = MarkedCurveCoeffs(
+            scaled.a2, scaled.a3, scaled.a4 + rng.choice((-1, 1)) * rng.randint(1, 9)
+        )
+        assert iso_test(moved, base) is None
+
+
 def test_fiber_curve_examples():
     assert fiber_curve(ShortWeierstrass(0, 0)).render() == "-x^3 + y^2"
     assert fiber_curve(ShortWeierstrass(-3, 2)).render() == "-x^3 + y^2 + 3*x - 2"
@@ -228,3 +254,62 @@ def test_mu2_fixed_points_constructed_roots():
             expected[root] = expected.get(root, 0) + 1
         points = mu2_fixed_points(ShortWeierstrass(beta4, beta6))
         assert {p.x: p.multiplicity for p in points} == expected
+
+
+def _random_root(rng):
+    return Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 6)))
+
+
+def test_mu2_fixed_points_match_the_divisor_search_oracle():
+    # integer, rational and constructed-root cubics (double and triple
+    # roots included) against the generic rational-root search
+    rng = random.Random(89)
+    for index in range(5_100):
+        family = index % 3
+        if family == 0:
+            beta4, beta6 = rng.randint(-100, 100), rng.randint(-1_000, 1_000)
+        elif family == 1:
+            beta4 = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6)))
+            beta6 = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 4, 6)))
+        else:
+            r1 = _random_root(rng)
+            r2 = rng.choice((r1, -r1 / 2, _random_root(rng), _random_root(rng)))
+            r3 = -r1 - r2
+            beta4 = r1 * r2 + r1 * r3 + r2 * r3
+            beta6 = -r1 * r2 * r3
+        short = ShortWeierstrass(beta4, beta6)
+        points = mu2_fixed_points(short)
+        expected = rational_roots_by_divisor_search([short.beta6, short.beta4, 0, 1])
+        assert [(p.x, p.multiplicity) for p in points] == expected
+        assert all(p.coords == (p.x, 0, short.beta4) for p in points)
+
+
+@pytest.mark.parametrize(
+    "beta4, beta6, expected",
+    [
+        # roots 10^4, 5*10^3, -1.5*10^4 (|beta6| = 7.5*10^11): the search
+        # stops at the first root, d = 5,000, far below isqrt|beta6|.
+        (-175_000_000, 750_000_000_000, [(10**4, 1), (5 * 10**3, 1), (-15 * 10**3, 1)]),
+        # no rational root: the search runs to isqrt|c0| = 1 and over the
+        # divisors of c3 = 6^10, not up to the isqrt of 6^20
+        (0, Fraction(1, 6**10), []),
+        (0, Fraction(-1, 6**9), [(Fraction(1, 216), 1)]),
+        # a prime denominator: only its own divisors are listed
+        (0, Fraction(1, 10**9 + 7), []),
+        # roots 10^4/6^5, 5*10^3/6^5 and -1.5*10^4/6^5
+        (
+            Fraction(-2734375, 944784),
+            Fraction(244140625, 153055008),
+            [(Fraction(625, 486), 1), (Fraction(625, 972), 1), (Fraction(-625, 324), 1)],
+        ),
+    ],
+)
+def test_mu2_fixed_points_large_roots_and_denominators_are_found_quickly(
+    beta4, beta6, expected
+):
+    short = ShortWeierstrass(beta4, beta6)
+    start = time.perf_counter()
+    points = mu2_fixed_points(short)
+    elapsed = time.perf_counter() - start
+    assert [(p.x, p.multiplicity) for p in points] == expected
+    assert elapsed < 0.05

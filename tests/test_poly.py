@@ -229,6 +229,28 @@ def test_parser_expansion_budget_is_a_value_error(text, message):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["3" * 4301 + "*x", "x^" + "9" * 4301, "x/" + "7" * 4301],
+    ids=["coefficient", "exponent", "denominator"],
+)
+def test_parser_refuses_numbers_the_interpreter_cannot_convert(text):
+    # int() of more than 4,300 digits raises the interpreter's message,
+    # which points at sys.set_int_max_str_digits().
+    with pytest.raises(ValueError) as excinfo:
+        parse_poly(text)
+    assert str(excinfo.value) == (
+        "polynomial text has a number of 4301 digits, over the limit of 4300"
+    )
+
+
+def test_parser_accepts_numbers_at_the_digit_limit():
+    digits = "9" * 4300
+    assert parse_poly(f"{digits}*x^{digits}") == Poly(
+        {Monomial.of({"x": int(digits)}): int(digits)}
+    )
+
+
 def test_parser_long_sums_stay_cheap():
     # A sum over 1000 variables took 33 s when every "+" copied and
     # re-sorted the partial sum over dense exponent vectors; 4000 now take

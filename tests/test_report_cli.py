@@ -243,6 +243,16 @@ def test_cli_pic_complement_numbers_too_long_to_print_are_an_error(capsys, text)
     assert "f has a coefficient or exponent too long to print" in captured.err
 
 
+def test_cli_pic_complement_refuses_numbers_too_long_to_read(capsys):
+    # test_poly.py covers the coefficient, exponent and denominator cases.
+    assert main(["pic-complement", "1", "--poly", "x/" + "7" * 4301]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: polynomial text has a number of 4301 digits, over the limit of 4300\n"
+    )
+
+
 def test_cli_pic_complement_degree_too_long_to_print_is_an_error(capsys):
     # f prints, but a 4,300-digit weight times a 4,300-digit exponent does not.
     digits = "9" * 4300
@@ -303,6 +313,32 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["curve", "j", "1", "0"], ["verify-paper", "--format", "json"]],
+    ids=["short-output", "report"],
+)
+def test_cli_closed_stdout_exits_nonzero_without_a_traceback(argv):
+    # As in `wpchow verify-paper --format json | head -3`: the reader is
+    # gone before the first write, whether that write comes from print or
+    # from the flush of buffered output.
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "wpchow.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert result.stderr == b""
 
 
 def test_cli_verify_paper(capsys):
