@@ -339,20 +339,25 @@ def _first_cubic_root(short: ShortWeierstrass) -> Optional[Fraction]:
     model is c3*x^3 + c1*x + c0 = m*(x^3 + beta4*x + beta6) (its content is
     1).  A root a/b in lowest terms has a dividing c0, and b^2 dividing c3:
     for p | b the term a^3, a p-adic unit, must cancel against beta4*a*b^2
-    or beta6*b^3.  Trial division lists those b once and walks the divisors
-    of c0 up to isqrt|c0|, stopping at the first root.
+    or beta6*b^3.  One trial-division pass lists those b, another the
+    divisors of c0 up to isqrt|c0| with their cofactors; the candidates
+    +-a/b are then tried, smallest |a| first.  The pass over c0 always runs
+    to its end, so a call costs the same for a cubic with a rational root
+    as for one of the same size without.
     """
     c3 = lcm(short.beta4.denominator, short.beta6.denominator)
     c1, c0 = int(short.beta4 * c3), int(short.beta6 * c3)
     if c0 == 0:
         return Fraction(0)
+    n = abs(c0)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    numerators = small + [n // d for d in reversed(small) if d * d != n]
     denominators = [b for b in range(1, isqrt(c3) + 1) if c3 % (b * b) == 0]
     return next(
         (
             Fraction(a, b)
-            for d in range(1, isqrt(abs(c0)) + 1)
-            if c0 % d == 0
-            for a in (d, -d, c0 // d, -c0 // d)
+            for d in numerators
+            for a in (d, -d)
             for b in denominators
             if c3 * a**3 + c1 * a * b * b + c0 * b**3 == 0
         ),

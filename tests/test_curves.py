@@ -224,6 +224,11 @@ def test_mu2_fixed_points_examples():
     three = mu2_fixed_points(ShortWeierstrass(-1, 0))
     assert sorted(p.x for p in three) == [-1, 0, 1]
     assert all(p.multiplicity == 1 for p in three)
+    # roots 10^4, 5*10^3, -1.5*10^4 (|beta6| = 7.5*10^11)
+    large = mu2_fixed_points(ShortWeierstrass(-175_000_000, 750_000_000_000))
+    assert [(p.x, p.multiplicity) for p in large] == [
+        (10**4, 1), (5 * 10**3, 1), (-15 * 10**3, 1)
+    ]
 
 
 def test_mu2_fixed_points_roots_satisfy_cubic():
@@ -287,9 +292,6 @@ def test_mu2_fixed_points_match_the_divisor_search_oracle():
 @pytest.mark.parametrize(
     "beta4, beta6, expected",
     [
-        # roots 10^4, 5*10^3, -1.5*10^4 (|beta6| = 7.5*10^11): the search
-        # stops at the first root, d = 5,000, far below isqrt|beta6|.
-        (-175_000_000, 750_000_000_000, [(10**4, 1), (5 * 10**3, 1), (-15 * 10**3, 1)]),
         # no rational root: the search runs to isqrt|c0| = 1 and over the
         # divisors of c3 = 6^10, not up to the isqrt of 6^20
         (0, Fraction(1, 6**10), []),
