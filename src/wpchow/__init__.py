@@ -19,7 +19,6 @@ The package computes, over Z and Q with no floating point anywhere:
 from .blowup import (
     AssemblyMismatchError,
     BlowupData,
-    ExceptionalSquare,
     MODULI_AMBIENT,
     MODULI_BLOWUP,
     RestrictionHom,
@@ -79,7 +78,6 @@ from .poly import (
     InhomogeneousError,
     Monomial,
     Poly,
-    WeightedGrading,
     parse_poly,
     substitute,
     weighted_degree,
@@ -103,7 +101,6 @@ __all__ = [
     "BlowupData",
     "ComplementPicard",
     "DegreeMismatchError",
-    "ExceptionalSquare",
     "GradedElement",
     "GradedPresentation",
     "HypersurfaceComplementInput",
@@ -120,7 +117,6 @@ __all__ = [
     "ShortWeierstrass",
     "SingularCurveError",
     "VerificationReport",
-    "WeightedGrading",
     "WeightedProjectiveStack",
     "__version__",
     "build_report",

@@ -53,7 +53,7 @@ from .graded import (
     quotient,
 )
 from .intlinalg import AbelianGroupShape
-from .poly import Poly, WeightedGrading, weighted_degree
+from .poly import Poly, weighted_degree
 from .wps import (
     HypersurfaceComplementInput,
     WeightedProjectiveStack,
@@ -67,7 +67,6 @@ from .wps import (
 __all__ = [
     "AssemblyMismatchError",
     "BlowupData",
-    "ExceptionalSquare",
     "MODULI_AMBIENT",
     "MODULI_BLOWUP",
     "check_split_assembly",
@@ -98,13 +97,8 @@ class BlowupData:
     w2: int
 
     def __post_init__(self):
-        if self.w1 < 1 or self.w2 < 1:
+        if not all(isinstance(w, int) and w >= 1 for w in (self.w1, self.w2)):
             raise ValueError("blow-up weights must be positive integers")
-
-    @property
-    def ambient_grading(self) -> WeightedGrading:
-        """Weights (w1, w2, -1) on the coordinates (x, y, u) of [A^3/Gm]."""
-        return WeightedGrading({"x": self.w1, "y": self.w2, "u": -1})
 
     @property
     def exceptional(self) -> WeightedProjectiveStack:
@@ -156,34 +150,19 @@ def invariant_ring_check(w1: int, w2: int, degree_bound: int) -> bool:
     grading (w1, w2, -1), and compares it with the exponents (1, 0, w1) and
     (0, 1, w2) of the two claimed generators, truncated at the bound.
     """
-    if w1 < 1 or w2 < 1:
-        raise ValueError("weights must be positive integers")
+    BlowupData(w1, w2)  # checks the weights
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
-    grading = BlowupData(w1, w2).ambient_grading
-    weights = tuple(grading.weight(v) for v in ("x", "y", "u"))
     claimed = {(1, 0, w1), (0, 1, w2)}
     expected = {vector for vector in claimed if sum(vector) <= degree_bound}
-    return set(_invariant_hilbert_basis(weights, degree_bound)) == expected
+    return set(_invariant_hilbert_basis((w1, w2, -1), degree_bound)) == expected
 
 
-@frozen_record
-class ExceptionalSquare:
-    """The self-intersection identity of the exceptional divisor.
-
-    ``pushforward`` is the class of E^2 pushed to the exceptional
-    P(w1, w2) along the bundle projection: restricting the ideal sheaf of
-    E to E gives O_E(1), so the normal bundle class is c1(O_E(-1)) = -t.
-    """
-
-    exceptional: WeightedProjectiveStack
-    pushforward: GradedElement
-
-
-def exceptional_selfintersection(data: BlowupData) -> ExceptionalSquare:
-    ring = chow_ring(data.exceptional)
-    minus_t = GradedElement.of(ring, -Poly.variable("t"), 1)
-    return ExceptionalSquare(exceptional=data.exceptional, pushforward=minus_t)
+def exceptional_selfintersection(data: BlowupData) -> GradedElement:
+    """The class of E^2 pushed to the exceptional P(w1, w2) along the
+    bundle projection: restricting the ideal sheaf of E to E gives O_E(1),
+    so the normal bundle class is c1(O_E(-1)) = -t in A^1(P(w1, w2))."""
+    return GradedElement.of(chow_ring(data.exceptional), -Poly.variable("t"), 1)
 
 
 # -- the moduli assembly ---------------------------------------------------
@@ -236,13 +215,12 @@ def phi_degree2_images() -> dict[str, tuple[GradedElement, GradedElement]]:
     u_ring = cusp_complement_chow()
     t_e = GradedElement.of(exceptional_ring, "t", 1)
     zero_e = GradedElement.of(exceptional_ring, 0, 1)
-    square = exceptional_selfintersection(MODULI_BLOWUP)
     t2_u = GradedElement.of(u_ring, "t^2", 2)
     zero_u = GradedElement.of(u_ring, 0, 2)
     return {
         "x^2": (t_e, t2_u),
         "x*y": (zero_e, zero_u),
-        "y^2": (square.pushforward, zero_u),
+        "y^2": (exceptional_selfintersection(MODULI_BLOWUP), zero_u),
     }
 
 

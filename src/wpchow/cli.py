@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -57,10 +58,22 @@ MAX_INVARIANT_BOUND = 600
 MAX_DEGREE = 200
 
 
+def _refuse_long_number(text: str) -> None:
+    """Refuse, without echoing it, a number longer than the interpreter
+    converts (4,300 digits by default), in the words of ``parse_poly``."""
+    limit = sys.get_int_max_str_digits()
+    digits = max((len(run) for run in re.findall(r"\d+", text.replace("_", ""))), default=0)
+    if limit and digits > limit:
+        raise argparse.ArgumentTypeError(
+            f"a number of {digits} digits, over the limit of {limit}"
+        )
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        _refuse_long_number(text)
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
@@ -68,6 +81,7 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
+        _refuse_long_number(text)
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 1:
         raise argparse.ArgumentTypeError("value must be a positive integer")
@@ -94,7 +108,7 @@ def _cmd_blowup(args) -> int:
     print(f"exceptional divisor: {data.exceptional} with "
           f"A* = {chow_ring(data.exceptional).render()}")
     square = exceptional_selfintersection(data)
-    print(f"self-intersection: E^2 pushes to {square.pushforward.value.render()} "
+    print(f"self-intersection: E^2 pushes to {square.value.render()} "
           "on the exceptional divisor")
     # The {x != 0} chart is A^2 / mu_w1 embedded via (a, b) -> (1, a, b); the
     # {y != 0} chart is symmetric.

@@ -29,7 +29,7 @@ from math import isqrt, lcm
 from typing import Optional, Union
 
 from ._record import frozen_record
-from .poly import Poly, WeightedGrading, substitute
+from .poly import Poly, substitute
 
 Rational = Union[int, Fraction]
 
@@ -118,9 +118,9 @@ class ShortWeierstrass:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
 
-def coordinate_grading() -> WeightedGrading:
+def coordinate_grading() -> dict[str, int]:
     """Weights (2, 3, 4) on the coordinates a2, a3, a4."""
-    return WeightedGrading({"a2": 2, "a3": 3, "a4": 4})
+    return {"a2": 2, "a3": 3, "a4": 4}
 
 
 def marked_equation() -> Poly:
@@ -332,6 +332,11 @@ class Mu2FixedPoint:
     coords: tuple[Fraction, Fraction, Fraction]
 
 
+# The search trial-divides up to isqrt|c0| and isqrt(c3): at 10^15 one
+# pass takes ~1.3 s on a 2-CPU container, at 2^61 - 1 about 5 minutes.
+_ROOT_SEARCH_LIMIT = 10**15
+
+
 def _first_cubic_root(short: ShortWeierstrass) -> Optional[Fraction]:
     """One rational root of x^3 + beta4*x + beta6, or None if it has none.
 
@@ -343,13 +348,19 @@ def _first_cubic_root(short: ShortWeierstrass) -> Optional[Fraction]:
     divisors of c0 up to isqrt|c0| with their cofactors; the candidates
     +-a/b are then tried, smallest |a| first.  The pass over c0 always runs
     to its end, so a call costs the same for a cubic with a rational root
-    as for one of the same size without.
+    as for one of the same size without.  Raises ``ValueError`` when |c0|
+    or c3 is over 10^15, where one pass would take more than a second.
     """
     c3 = lcm(short.beta4.denominator, short.beta6.denominator)
     c1, c0 = int(short.beta4 * c3), int(short.beta6 * c3)
     if c0 == 0:
         return Fraction(0)
     n = abs(c0)
+    if n > _ROOT_SEARCH_LIMIT or c3 > _ROOT_SEARCH_LIMIT:
+        raise ValueError(
+            "the rational root search needs |c0| and c3 of the cubic's integer "
+            "model c3*x^3 + c1*x + c0 to be at most 10^15"
+        )
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     numerators = small + [n // d for d in reversed(small) if d * d != n]
     denominators = [b for b in range(1, isqrt(c3) + 1) if c3 % (b * b) == 0]

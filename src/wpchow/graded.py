@@ -25,7 +25,6 @@ from .intlinalg import AbelianGroupShape, cokernel, solve_integer
 from .poly import (
     Monomial,
     Poly,
-    WeightedGrading,
     parse_poly,
     substitute,
     weighted_degree,
@@ -91,14 +90,8 @@ class GradedPresentation:
         )
 
     @property
-    def grading(self) -> WeightedGrading:
-        return WeightedGrading(dict(self.generators))
-
-    def generator_degree(self, name: str) -> int:
-        for gen, degree in self.generators:
-            if gen == name:
-                return degree
-        raise KeyError(f"no generator named {name!r}")
+    def grading(self) -> dict[str, int]:
+        return dict(self.generators)
 
     def render(self) -> str:
         gens = ", ".join(name for name, _ in self.generators)

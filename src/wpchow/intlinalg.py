@@ -79,28 +79,15 @@ def determinant(matrix: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _copy(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    rows = []
-    width = None
-    for row in matrix:
-        row = list(map(int, row))
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError("ragged matrix")
-        rows.append(row)
-    return rows
-
-
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return unimodular ``(U, D, V)`` with ``U @ M @ V == D``.
 
     ``D`` is diagonal with non-negative entries satisfying the divisibility
     chain d1 | d2 | ... .
     """
-    d = _copy(matrix)
+    rows, n = _sparse(matrix)
+    d = _dense(rows, n)
     m = len(d)
-    n = len(d[0]) if d else 0
     u = _identity(m)
     v = _identity(n)
 

@@ -14,9 +14,10 @@ parenthesised factor is expanded with ``Poly`` products.  Every product,
 of either kind, is charged to a fixed budget of term products and
 checked against a coefficient size limit, so hostile text fails fast.
 
-A :class:`WeightedGrading` assigns an integer weight to every variable.
-A polynomial carries no grading of its own: :func:`weighted_degree` takes
-the polynomial and the grading to measure it by.
+A grading is a ``{variable: weight}`` mapping of integers, negative only
+for the contracting coordinate of a weighted blow-up.  A polynomial
+carries no grading of its own: :func:`weighted_degree` takes the
+polynomial and the grading to measure it by.
 
 All values are immutable after construction and safe to share between
 threads; arithmetic always returns new objects.
@@ -36,7 +37,6 @@ __all__ = [
     "InhomogeneousError",
     "Monomial",
     "Poly",
-    "WeightedGrading",
     "parse_poly",
     "substitute",
     "weighted_degree",
@@ -53,44 +53,6 @@ class InhomogeneousError(ValueError):
         self.degrees = frozenset(degrees)
         listing = ", ".join(str(d) for d in sorted(self.degrees))
         super().__init__(f"polynomial is not homogeneous: term degrees {{{listing}}}")
-
-
-class WeightedGrading:
-    """Map from variable names to nonzero integer weights.
-
-    Weights are positive for every geometric grading in this package; the
-    one negative-weight use is the contracting coordinate of the blow-up
-    ambient space, so negative values are accepted as well.
-    """
-
-    __slots__ = ("_items", "_map")
-
-    def __init__(self, weights: Mapping[str, int]):
-        mapping: dict[str, int] = {}
-        for name, w in weights.items():
-            if not isinstance(w, int) or isinstance(w, bool) or w == 0:
-                raise ValueError(f"weight of {name!r} must be a nonzero integer, got {w!r}")
-            mapping[str(name)] = w
-        self._map = mapping
-        self._items = tuple(sorted(mapping.items()))
-
-    def weight(self, name: str) -> int:
-        try:
-            return self._map[name]
-        except KeyError:
-            raise KeyError(f"no weight assigned to variable {name!r}") from None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightedGrading):
-            return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}: {w}" for name, w in self._items)
-        return f"WeightedGrading({{{inner}}})"
 
 
 class Monomial:
@@ -139,8 +101,8 @@ class Monomial:
     def total_degree(self) -> int:
         return sum(exp for _, exp in self.exponents)
 
-    def degree(self, grading: WeightedGrading) -> int:
-        return sum(exp * grading.weight(name) for name, exp in self.exponents)
+    def degree(self, grading: Mapping[str, int]) -> int:
+        return sum(exp * grading[name] for name, exp in self.exponents)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -287,9 +249,6 @@ class Poly:
 
     def monomials(self) -> tuple[Monomial, ...]:
         return tuple(self._terms)
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -438,7 +397,7 @@ def substitute(poly: Poly, assignment: Mapping[str, Union[Poly, Coeff]]) -> Poly
     return total
 
 
-def weighted_degree(poly: Poly, grading: WeightedGrading) -> int:
+def weighted_degree(poly: Poly, grading: Mapping[str, int]) -> int:
     """Degree of a homogeneous polynomial under ``grading``.
 
     Raises :class:`InhomogeneousError` (carrying the set of term degrees)

@@ -299,7 +299,7 @@ def build_report(bound: int = 8, self_test: bool = False) -> VerificationReport:
         "pushforward of the exceptional self-intersection",
         "E^2 pushes to c1(O_E(-1)) = -t on the exceptional P(4,6)",
         "-t",
-        exceptional_selfintersection(MODULI_BLOWUP).pushforward.value.render(),
+        exceptional_selfintersection(MODULI_BLOWUP).value.render(),
     )
     images = phi_degree2_images()
     for monomial, expected in (("x^2", "(t, t^2)"), ("x*y", "(0, 0)"), ("y^2", "(-t, 0)")):

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence, Union
 from ._record import frozen_record
 from .graded import GradedElement, GradedPresentation, quotient
 from .intlinalg import AbelianGroupShape
-from .poly import Poly, WeightedGrading, weighted_degree
+from .poly import Poly, weighted_degree
 
 __all__ = [
     "CHOW_GENERATOR",
@@ -62,10 +62,6 @@ class WeightedProjectiveStack:
         for w in self.weights:
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"weights must be positive integers, got {w!r}")
-
-    @classmethod
-    def of(cls, *weights: int) -> "WeightedProjectiveStack":
-        return cls(tuple(weights))
 
     @property
     def n(self) -> int:
@@ -156,8 +152,8 @@ class HypersurfaceComplementInput:
         weighted_degree(self.polynomial, self.grading)  # homogeneity invariant
 
     @property
-    def grading(self) -> WeightedGrading:
-        return WeightedGrading(dict(zip(self.variables, self.weights)))
+    def grading(self) -> dict[str, int]:
+        return dict(zip(self.variables, self.weights))
 
 
 @frozen_record

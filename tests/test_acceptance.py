@@ -48,7 +48,6 @@ from wpchow import (
     weierstrass_substitution_residual,
     weighted_degree,
 )
-from wpchow.poly import WeightedGrading
 
 P234 = WeightedProjectiveStack((2, 3, 4))
 P46 = WeightedProjectiveStack((4, 6))
@@ -136,7 +135,7 @@ def test_criterion_05_restriction_hom():
 
 @criterion(6, "discriminant has weighted degree 12 and Pic of its complement is Z/12")
 def test_criterion_06_discriminant_degree_and_pic():
-    grading = WeightedGrading({"a2": 2, "a3": 3, "a4": 4})
+    grading = {"a2": 2, "a3": 3, "a4": 4}
     assert weighted_degree(discriminant_polynomial(), grading) == 12
     result = pic_complement(discriminant_hypersurface())
     assert result.group == AbelianGroupShape.cyclic(12)

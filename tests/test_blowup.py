@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from oracles import invariant_basis_by_box, invariant_vectors_brute, monoid_closure
@@ -51,6 +53,8 @@ def test_invariant_ring_all_small_weights():
 def test_invariant_ring_validation():
     with pytest.raises(ValueError):
         invariant_ring_check(0, 2, 5)
+    with pytest.raises(ValueError):
+        invariant_ring_check(Fraction(3, 2), 2, 5)
     with pytest.raises(ValueError):
         invariant_ring_check(1, 1, 0)
 
@@ -114,9 +118,10 @@ def test_invariant_monomial_identity_spot_check():
 def test_blowup_data_and_charts(capsys):
     data = BlowupData(4, 6)
     assert data.exceptional.weights == (4, 6)
-    assert data.ambient_grading.weight("u") == -1
     with pytest.raises(ValueError):
         BlowupData(0, 1)
+    with pytest.raises(ValueError):
+        BlowupData(Fraction(3, 2), 2)
     assert main(["blowup", "2", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[3:5] == [
@@ -129,10 +134,9 @@ def test_blowup_data_and_charts(capsys):
 
 def test_exceptional_selfintersection():
     square = exceptional_selfintersection(BlowupData(4, 6))
-    assert square.exceptional.weights == (4, 6)
-    assert square.pushforward.value == -Poly.variable("t")
-    assert square.pushforward.degree == 1
-    assert square.pushforward.ambient == chow_ring(square.exceptional)
+    assert square.value == -Poly.variable("t")
+    assert square.degree == 1
+    assert square.ambient == chow_ring(BlowupData(4, 6).exceptional)
 
 
 def test_cusp_class_and_complement():

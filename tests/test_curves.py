@@ -31,6 +31,7 @@ from wpchow import (
 )
 
 from oracles import rational_roots_by_divisor_search
+from wpchow.cli import main
 
 
 def test_coefficient_denominators_restricted_to_z16():
@@ -315,3 +316,28 @@ def test_mu2_fixed_points_large_roots_and_denominators_are_found_quickly(
     elapsed = time.perf_counter() - start
     assert [(p.x, p.multiplicity) for p in points] == expected
     assert elapsed < 0.05
+
+
+@pytest.mark.parametrize(
+    "short",
+    [
+        ShortWeierstrass(0, 2**61 - 1),
+        ShortWeierstrass(0, Fraction(1, 10**30)),
+        ShortWeierstrass(0, 10**15 + 37),
+    ],
+    ids=["mersenne", "tiny-beta6", "just-over"],
+)
+def test_mu2_fixed_points_refuse_a_search_over_the_limit_at_once(short):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at most 10\\^15"):
+        mu2_fixed_points(short)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_cli_curve_fixed_over_the_limit_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["curve", "fixed", "0", "2305843009213693951"]) == 2
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "10^15" in captured.err

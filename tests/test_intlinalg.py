@@ -80,6 +80,16 @@ def test_snf_empty_and_zero():
     assert (u, d, v) == ([], [], [])
 
 
+def test_snf_input_is_checked_and_left_alone():
+    with pytest.raises(ValueError, match="ragged"):
+        smith_normal_form([[1, 2], [3]])
+    matrix = [(4, 6), (6, 9)]
+    u, d, v = smith_normal_form(matrix)
+    assert matrix == [(4, 6), (6, 9)]
+    assert d == [[1, 0], [0, 0]]
+    assert mat_mul(mat_mul(u, matrix), v) == d
+
+
 def test_snf_random_vs_minor_oracle():
     rng = random.Random(23)
     for _ in range(60):

@@ -13,7 +13,6 @@ from wpchow import (
     InhomogeneousError,
     Monomial,
     Poly,
-    WeightedGrading,
     parse_poly,
     substitute,
     weighted_degree,
@@ -69,7 +68,7 @@ def test_beta6_correction_term_has_three_terms():
     # alpha3^2 - alpha2^3 - alpha2*alpha4, the second short-form coefficient
     p = parse_poly("a3^2 - a2^3 - a2*a4")
     assert len(p) == 3
-    grading = WeightedGrading({"a2": 2, "a3": 3, "a4": 4})
+    grading = {"a2": 2, "a3": 3, "a4": 4}
     assert weighted_degree(p, grading) == 6
 
 
@@ -91,8 +90,8 @@ def test_substitute_simultaneous_swap():
 
 def test_weighted_degree_examples():
     t = Poly.variable("t")
-    assert weighted_degree(t, WeightedGrading({"t": 1})) == 1
-    grading = WeightedGrading({"x": 4, "y": 6})
+    assert weighted_degree(t, {"t": 1}) == 1
+    grading = {"x": 4, "y": 6}
     with pytest.raises(InhomogeneousError) as excinfo:
         weighted_degree(Poly.variable("x") + Poly.variable("y"), grading)
     assert excinfo.value.degrees == frozenset({4, 6})
@@ -100,21 +99,19 @@ def test_weighted_degree_examples():
 
 def test_weighted_degree_zero_poly_rejected():
     with pytest.raises(ValueError):
-        weighted_degree(Poly.zero(), WeightedGrading({"x": 1}))
+        weighted_degree(Poly.zero(), {"x": 1})
 
 
 def test_negative_weights_accepted():
-    grading = WeightedGrading({"x": 4, "y": 6, "u": -1})
+    grading = {"x": 4, "y": 6, "u": -1}
     mono = Poly.variable("x") * Poly.variable("u") ** 4
     assert weighted_degree(mono, grading) == 0
-    with pytest.raises(ValueError):
-        WeightedGrading({"x": 0})
 
 
 def test_weighted_degree_takes_an_explicit_grading():
-    grading = WeightedGrading({"a2": 2, "a4": 4})
+    grading = {"a2": 2, "a4": 4}
     assert weighted_degree(parse_poly("a2^2 + a4"), grading) == 4
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="'b'"):
         weighted_degree(parse_poly("a2 + b"), grading)
 
 
@@ -157,7 +154,7 @@ def test_substitute_is_ring_homomorphism_random():
 
 def test_weighted_degree_additive_on_products():
     rng = random.Random(13)
-    grading = WeightedGrading({"x": 2, "y": 3})
+    grading = {"x": 2, "y": 3}
     for _ in range(60):
         dp, dq = rng.randint(1, 8), rng.randint(1, 8)
         p = _homogeneous(rng, grading, dp)

@@ -1,0 +1,47 @@
+"""The package's public surface: one object per exported name."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+import wpchow
+
+SUBMODULES = ["blowup", "cli", "curves", "graded", "intlinalg", "poly", "report", "wps"]
+MODULES = [importlib.import_module(f"wpchow.{name}") for name in SUBMODULES]
+
+# Public names taken out of the package; none may come back into an __all__.
+RETIRED_NAMES = ["ExceptionalSquare", "WeightedGrading"]
+# (class, member) pairs taken out with them.
+RETIRED_MEMBERS = [
+    (wpchow.BlowupData, "ambient_grading"),
+    (wpchow.GradedPresentation, "generator_degree"),
+    (wpchow.Poly, "coefficient"),
+    (wpchow.WeightedProjectiveStack, "of"),
+]
+
+
+@pytest.mark.parametrize("name", [n for n in wpchow.__all__ if n != "__version__"])
+def test_every_package_name_is_its_submodule_object(name):
+    owners = [module for module in MODULES if name in module.__all__]
+    assert len(owners) == 1, f"{name} is listed by {[m.__name__ for m in owners]}"
+    assert getattr(wpchow, name) is getattr(owners[0], name)
+
+
+def test_version_is_the_version_module_string():
+    assert wpchow.__version__ is importlib.import_module("wpchow.version").__version__
+
+
+def test_no_all_lists_a_retired_name():
+    for module in [wpchow, *MODULES]:
+        assert not set(RETIRED_NAMES) & set(module.__all__), module.__name__
+        for name in RETIRED_NAMES:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize(
+    "cls, member", RETIRED_MEMBERS, ids=[f"{c.__name__}.{m}" for c, m in RETIRED_MEMBERS]
+)
+def test_retired_members_are_gone(cls, member):
+    assert not hasattr(cls, member)

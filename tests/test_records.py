@@ -14,7 +14,6 @@ from wpchow import (
     BlowupData,
     ComplementPicard,
     DegreeMismatchError,
-    ExceptionalSquare,
     GradedElement,
     GradedPresentation,
     HypersurfaceComplementInput,
@@ -93,12 +92,6 @@ CASES = [
         "coords=(Fraction(1, 1), Fraction(0, 1), Fraction(-3, 1)))",
     ),
     (BlowupData, {"w1": 4, "w2": 6}, "BlowupData(w1=4, w2=6)"),
-    (
-        ExceptionalSquare,
-        {"exceptional": WeightedProjectiveStack((4, 6)), "pushforward": ELEMENT},
-        "ExceptionalSquare(exceptional=WeightedProjectiveStack(weights=(4, 6)), "
-        f"pushforward={ELEMENT!r})",
-    ),
     (
         RestrictionHom,
         {"source": RING, "target": RING, "images": (("t", ELEMENT),)},

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wpchow import VerificationReport, WeightedGrading, build_report
+from wpchow import VerificationReport, build_report
 from wpchow.cli import main
 
 
@@ -79,7 +79,7 @@ def test_disc_weighted_degree_fails_under_another_grading(monkeypatch):
     # nothing else: doubling every weight doubles the degree it reports.
     monkeypatch.setattr(
         "wpchow.report.coordinate_grading",
-        lambda: WeightedGrading({"a2": 4, "a3": 6, "a4": 8}),
+        lambda: {"a2": 4, "a3": 6, "a4": 8},
     )
     by_id = {item.id: item for item in build_report(bound=4).items}
     assert by_id["disc-weighted-degree"].status == "fail"
@@ -117,6 +117,27 @@ def test_cli_chow_46(capsys):
 def test_cli_chow_rejects_bad_weight():
     with pytest.raises(SystemExit):
         main(["chow", "0"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chow", "9" * 4301],
+        ["curve", "j", "9" * 4301, "1"],
+        ["curve", "j", "1/" + "9" * 4301, "1"],
+    ],
+    ids=["weight", "rational", "denominator"],
+)
+def test_cli_arguments_too_long_to_read_are_refused_briefly(capsys, argv):
+    # Valid numbers, but past the interpreter's 4,300-digit limit: the error
+    # names the length and the limit instead of echoing every digit.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err) < 300
+    assert "a number of 4301 digits, over the limit of 4300" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_cli_blowup_moduli(capsys):
