@@ -13,6 +13,7 @@ e.g. ``wpchow curve fixed -- -3 2``.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -47,7 +48,7 @@ from .wps import (
     pic_complement,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # The invariant-ring check enumerates the degree box, quadratic in the
 # bound: ~0.2 s at 300, ~0.8 s at 600 and ~3.4 s at 1200.
@@ -77,12 +78,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
         _refuse_long_number(text)
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("value must be a positive integer")
     return value
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     chow.add_argument("weights", nargs="+", type=_positive_int, metavar="WEIGHT")
     chow.add_argument(
         "--max-degree",
-        type=int,
+        type=_integer,
         default=8,
         help=f"highest degree of the graded pieces (at most {MAX_DEGREE})",
     )
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     blowup.add_argument("w2", type=_positive_int)
     blowup.add_argument(
         "--max-degree",
-        type=int,
+        type=_integer,
         default=8,
         help=f"highest degree of the graded pieces (at most {MAX_DEGREE})",
     )
@@ -300,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-paper", help="run the full identity suite")
     verify.add_argument(
-        "--bound", type=int, default=8, help=f"truncation degree (4 to {MAX_DEGREE})"
+        "--bound", type=_integer, default=8, help=f"truncation degree (4 to {MAX_DEGREE})"
     )
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--output", help="write the report to this path")
@@ -341,5 +346,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def run() -> int:
+    """Process entry of the ``wpchow`` console script and of ``python -m
+    wpchow.cli``: ``main`` on the process's own arguments, returning its
+    exit code for the caller to exit with.
+
+    Once ``main`` has returned, the heap it built is frozen (``gc.freeze``),
+    so the interpreter's full collection at exit, which would walk every
+    object of the run and find nothing to free, skips it. The rest of the
+    shutdown (atexit handlers, the flush of the standard streams, module
+    teardown) runs as usual. ``main`` itself never freezes: in-process
+    callers keep an ordinary collector.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

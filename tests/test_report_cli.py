@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import importlib
 import json
 import os
 import subprocess
@@ -11,8 +13,22 @@ from pathlib import Path
 
 import pytest
 
-from wpchow import VerificationReport, build_report
+from wpchow import VerificationReport, build_report, cli
 from wpchow.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's ``src`` on its path."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        timeout=60,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -125,8 +141,14 @@ def test_cli_chow_rejects_bad_weight():
         ["chow", "9" * 4301],
         ["curve", "j", "9" * 4301, "1"],
         ["curve", "j", "1/" + "9" * 4301, "1"],
+        ["chow", "2", "--max-degree", "9" * 4301],
+        ["blowup", "4", "6", "--max-degree", "9" * 4301],
+        ["verify-paper", "--bound", "9" * 4301],
     ],
-    ids=["weight", "rational", "denominator"],
+    ids=[
+        "weight", "rational", "denominator",
+        "chow-max-degree", "blowup-max-degree", "verify-paper-bound",
+    ],
 )
 def test_cli_arguments_too_long_to_read_are_refused_briefly(capsys, argv):
     # Valid numbers, but past the interpreter's 4,300-digit limit: the error
@@ -284,21 +306,74 @@ def test_cli_pic_complement_degree_too_long_to_print_is_an_error(capsys):
     assert "set_int_max_str_digits" not in captured.err
 
 
-GOLDEN = Path(__file__).parent / "golden"
+VERIFY_PAPER_GOLDEN = [
+    (["--format", "json"], "verify-paper-bound8.json", 0),
+    (["--format", "json", "--bound", "24"], "verify-paper-bound24.json", 0),
+    (["--format", "json", "--self-test"], "verify-paper-self-test.json", 1),
+    ([], "verify-paper-bound8.txt", 0),
+]
 
 
-@pytest.mark.parametrize(
-    "args, golden, code",
-    [
-        (["--format", "json"], "verify-paper-bound8.json", 0),
-        (["--format", "json", "--bound", "24"], "verify-paper-bound24.json", 0),
-        (["--format", "json", "--self-test"], "verify-paper-self-test.json", 1),
-        ([], "verify-paper-bound8.txt", 0),
-    ],
-)
+@pytest.mark.parametrize("args, golden, code", VERIFY_PAPER_GOLDEN)
 def test_cli_verify_paper_matches_golden_output(capsys, args, golden, code):
     assert main(["verify-paper", *args]) == code
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("args, golden, code", VERIFY_PAPER_GOLDEN)
+def test_cli_process_matches_golden_output(args, golden, code):
+    # The process entry adds the exit-time freeze to what main does.
+    result = _python("-m", "wpchow.cli", "verify-paper", *args)
+    assert result.returncode == code, result.stderr
+    assert result.stdout == (GOLDEN / golden).read_bytes()
+    assert result.stderr == b""
+
+
+def test_cli_process_usage_error_exits_2():
+    result = _python("-m", "wpchow.cli", "verify-paper", "--bound", "3")
+    assert result.returncode == 2
+    assert b"--bound must be at least 4" in result.stderr
+    assert result.stdout == b""
+
+
+def test_main_does_not_freeze_the_heap(capsys):
+    before = gc.get_freeze_count()
+    assert main(["verify-paper"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+# Launches of the process entry as the console script and as
+# ``python -m wpchow.cli``; an atexit hook registered first runs after
+# main has returned and reports how many objects are frozen then.
+ENTRY_LAUNCHES = {
+    "console-script": "from wpchow.cli import run; sys.exit(run())",
+    "module": "import runpy; runpy.run_module('wpchow.cli', run_name='__main__', alter_sys=True)",
+}
+
+
+@pytest.mark.parametrize("launch", ENTRY_LAUNCHES.values(), ids=ENTRY_LAUNCHES.keys())
+def test_process_entry_freezes_the_heap_before_exit(launch):
+    probe = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        f"{launch}\n"
+    )
+    result = _python("-c", probe, "verify-paper", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / "verify-paper-bound8.json").read_bytes()
+    label, count = result.stderr.decode().split()
+    assert label == "frozen" and int(count) > 1000
+
+
+def test_console_script_is_the_module_entry():
+    # `python -m wpchow.cli` runs cli.run under its __main__ guard; the
+    # test above checks that both launches freeze and print alike.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        spec = tomllib.load(handle)["project"]["scripts"]["wpchow"]
+    module, _, attr = spec.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.run
 
 
 @pytest.mark.parametrize(
@@ -323,17 +398,10 @@ def test_cli_parse_heavy_output_matches_golden(capsys, argv, golden):
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # Together they cost ~25 ms of a ~60 ms cold import of wpchow.cli.
-    src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, wpchow.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = _python("-S", "-c", code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == b"[]"
 
 
 @pytest.mark.parametrize(
@@ -345,17 +413,10 @@ def test_cli_closed_stdout_exits_nonzero_without_a_traceback(argv):
     # As in `wpchow verify-paper --format json | head -3`: the reader is
     # gone before the first write, whether that write comes from print or
     # from the flush of buffered output.
-    src = Path(__file__).resolve().parents[1] / "src"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = subprocess.run(
-            [sys.executable, "-m", "wpchow.cli", *argv],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            timeout=60,
-        )
+        result = _python("-m", "wpchow.cli", *argv, stdout=write_end)
     finally:
         os.close(write_end)
     assert result.returncode == 141
@@ -415,6 +476,24 @@ def test_cli_degree_flags_are_capped(capsys, argv, flag):
     assert excinfo.value.code == 2
     assert time.perf_counter() - start < 1.0
     assert f"{flag} must be at most 200" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-paper", "--bound", "eight"],
+        ["chow", "2", "3", "--max-degree", "2.5"],
+        ["blowup", "4", "6", "--max-degree", "x"],
+    ],
+    ids=["verify-paper-bound", "chow-max-degree", "blowup-max-degree"],
+)
+def test_cli_degree_flags_refuse_a_non_integer(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"not an integer: {argv[-1]!r}" in err
 
 
 def test_cli_chow_accepts_the_degree_cap(capsys):
