@@ -21,7 +21,6 @@ from .blowup import (
     BlowupData,
     MODULI_AMBIENT,
     MODULI_BLOWUP,
-    RestrictionHom,
     check_split_assembly,
     cusp_complement_chow,
     cusp_locus_class,
@@ -31,7 +30,6 @@ from .blowup import (
     m12_open_chow,
     m12bar_chow,
     phi_degree2_images,
-    restriction_hom,
     split_pieces,
     unkilled_relations,
 )
@@ -62,15 +60,13 @@ from .graded import (
     hom_check,
     is_zero,
     monomials_of_degree,
-    pieces_equal,
     quotient,
+    same_ideal,
 )
 from .intlinalg import (
     AbelianGroupShape,
     cokernel,
-    determinant,
     hermite_normal_form,
-    invariant_factors,
     smith_normal_form,
     solve_integer,
 )
@@ -113,7 +109,6 @@ __all__ = [
     "Mu2FixedPoint",
     "Poly",
     "ReportItem",
-    "RestrictionHom",
     "ShortWeierstrass",
     "SingularCurveError",
     "VerificationReport",
@@ -127,7 +122,6 @@ __all__ = [
     "coordinate_grading",
     "cusp_complement_chow",
     "cusp_locus_class",
-    "determinant",
     "discriminant",
     "discriminant_hypersurface",
     "discriminant_polynomial",
@@ -136,7 +130,6 @@ __all__ = [
     "graded_piece",
     "hermite_normal_form",
     "hom_check",
-    "invariant_factors",
     "invariant_ring_check",
     "is_zero",
     "iso_test",
@@ -150,10 +143,9 @@ __all__ = [
     "parse_poly",
     "phi_degree2_images",
     "pic_complement",
-    "pieces_equal",
     "point_class",
     "quotient",
-    "restriction_hom",
+    "same_ideal",
     "short_discriminant",
     "short_weierstrass_coeffs",
     "smith_normal_form",

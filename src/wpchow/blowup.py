@@ -47,10 +47,9 @@ from .graded import (
     GradedElement,
     GradedPresentation,
     graded_piece,
-    hom_check,
     is_zero,
-    pieces_equal,
     quotient,
+    same_ideal,
 )
 from .intlinalg import AbelianGroupShape
 from .poly import Poly, weighted_degree
@@ -78,8 +77,6 @@ __all__ = [
     "m12_open_chow",
     "m12bar_chow",
     "phi_degree2_images",
-    "restriction_hom",
-    "RestrictionHom",
     "split_pieces",
     "unkilled_relations",
 ]
@@ -318,13 +315,14 @@ def m12bar_chow(bound: int = 8) -> GradedPresentation:
 
 
 def m12_open_chow(bound: int = 8) -> GradedPresentation:
-    """Chow ring of the open 2-pointed moduli, degreewise Z[t]/(12 t).
+    """Chow ring of the open 2-pointed moduli, Z[t]/(12 t).
 
     Starts from A*(U) = Z[t]/(24 t^2) and kills the classes supported on
     the nodal fiber: the curve class d*t, where d = 12 is the order of
     the Picard group of the discriminant complement, and the class 12*t^2
-    of each of the two mu_2-fixed points.  The result is checked
-    degreewise against Z[t]/(12 t) up to ``bound``.
+    of each of the two mu_2-fixed points.  The result is checked against
+    Z[t]/(d t) with :func:`same_ideal`, in every degree; ``bound`` no
+    longer limits the check and is kept for callers that pass it.
     """
     u_ring = cusp_complement_chow()
     degree = pic_complement(discriminant_hypersurface()).character_weight
@@ -334,39 +332,8 @@ def m12_open_chow(bound: int = 8) -> GradedPresentation:
     point_in_u = GradedElement.of(u_ring, point.value, 2)
     presentation = quotient(u_ring, [curve_class, point_in_u, point_in_u])
     target = GradedPresentation.make([("t", 1)], [degree * t])
-    if not pieces_equal(presentation, target, bound):
+    if not same_ideal(presentation, target):
         raise AssemblyMismatchError(
-            f"open-moduli quotient does not match Z[t]/({degree}*t) degreewise"
+            f"open-moduli quotient {presentation} does not present Z[t]/({degree}*t)"
         )
     return presentation
-
-
-@frozen_record
-class RestrictionHom:
-    """Certified restriction homomorphism between the two moduli rings."""
-
-    source: GradedPresentation
-    target: GradedPresentation
-    images: tuple[tuple[str, GradedElement], ...]
-
-    @property
-    def images_dict(self) -> dict[str, GradedElement]:
-        return dict(self.images)
-
-
-def restriction_hom(bound: int = 8) -> RestrictionHom:
-    """The restriction map x -> t, y -> 0, verified relation by relation.
-
-    The exceptional class y is supported on the boundary, so it restricts
-    to 0; the pulled-back hyperplane class restricts to the hyperplane
-    class t of the open part.
-    """
-    source = m12bar_chow(bound)
-    target = m12_open_chow(bound)
-    images = {
-        "x": GradedElement.of(target, "t", 1),
-        "y": GradedElement.of(target, 0, 1),
-    }
-    if not hom_check(source, target, images):
-        raise AssemblyMismatchError("restriction images do not kill the relations")
-    return RestrictionHom(source, target, tuple(sorted(images.items())))

@@ -8,9 +8,9 @@ degreewise questions reduce to integer linear algebra on the relation
 rows: invariant factors for group shapes, Hermite normal form for
 membership.  No Groebner machinery is needed.
 
-``pieces_equal`` compares two presentations degree by degree.  That is a
-necessary but not sufficient condition for a ring isomorphism; ring-level
-claims should pair it with :func:`hom_check`.
+Ring equality needs no degree bound either: :func:`same_ideal` runs
+:func:`hom_check` on the identity map both ways, which proves each
+relation ideal contains the other, so the rings agree in every degree.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ __all__ = [
     "hom_check",
     "is_zero",
     "monomials_of_degree",
-    "pieces_equal",
     "quotient",
+    "same_ideal",
 ]
 
 
@@ -362,15 +362,18 @@ def hom_check(
     return True
 
 
-def pieces_equal(
-    first: GradedPresentation, second: GradedPresentation, up_to: int
-) -> bool:
-    """Degreewise group equality for all 0 <= n <= up_to.
+def same_ideal(first: GradedPresentation, second: GradedPresentation) -> bool:
+    """True iff the two presentations have the same relation ideal.
 
-    Necessary, not sufficient, for the rings to be isomorphic.
+    Both must have the same generators with the same degrees (else
+    ``ValueError``).  The identity map is a ring homomorphism from one to
+    the other iff each of its relations lies in the other's ideal, so
+    :func:`hom_check` both ways proves the rings equal in every degree.
     """
-    if up_to < 0:
-        raise ValueError("up_to must be non-negative")
-    return all(
-        graded_piece(first, n) == graded_piece(second, n) for n in range(up_to + 1)
-    )
+    if first.grading != second.grading:
+        raise ValueError(
+            f"presentations on different generators: {first.generators} "
+            f"and {second.generators}"
+        )
+    identity = {name: Poly.variable(name) for name, _ in first.generators}
+    return hom_check(first, second, identity) and hom_check(second, first, identity)

@@ -6,7 +6,7 @@ inside, rows are held sparsely as ``{column: value}``.
 
 Hermite normal form answers lattice-membership questions (is a vector an
 integer combination of the rows?).  Group shapes come from
-:func:`invariant_factors`, which builds no transform.  It first
+:func:`cokernel`, which builds no transform.  It first
 eliminates every +-1 pivot: each one removes a row and a column and
 contributes the factor 1.  The relation matrices of graded pieces (a few
 hundred rows and columns) are mostly +-1 entries, so what remains is
@@ -40,9 +40,7 @@ __all__ = [
     "AbelianGroupShape",
     "IntMatrix",
     "cokernel",
-    "determinant",
     "hermite_normal_form",
-    "invariant_factors",
     "smith_normal_form",
     "solve_integer",
 ]
@@ -50,33 +48,6 @@ __all__ = [
 
 def _identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def determinant(matrix: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix]
-    sign = 1
-    previous = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
-            a[i][k] = 0
-        previous = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -181,14 +152,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMa
             d[i] = [-value for value in d[i]]
             u[i] = [-value for value in u[i]]
     return u, d, v
-
-
-def invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero diagonal of the Smith form, in divisibility order.
-
-    Computed without transforms; see the module docstring.
-    """
-    return _sparse_invariant_factors(_sparse(matrix)[0])
 
 
 def _sparse(matrix: Iterable[Sequence[int]]) -> tuple[list[dict[int, int]], int]:

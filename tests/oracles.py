@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 Nothing here shares a code path with the library routines under test:
-determinants are cofactor expansions, invariant factors come from gcds
-of minors, and a diagonal becomes a divisibility chain by prime
+determinants are cofactor expansions, or fraction-free (Bareiss)
+elimination for matrices too big to expand, invariant factors come from
+gcds of minors, and a diagonal becomes a divisibility chain by prime
 factorization.  Lattice membership is exhaustive search over a bounded
 coefficient box.  Invariant exponent vectors are found by filtering the
 whole degree box, and monoid membership by closing the basis under
@@ -48,6 +49,33 @@ def det_cofactor(matrix) -> int:
         term = matrix[0][j] * det_cofactor(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def determinant(matrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant requires a square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in matrix]
+    sign = 1
+    previous = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+            a[i][k] = 0
+        previous = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def invariant_factors_via_minor_gcds(matrix) -> list[int]:

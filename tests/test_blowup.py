@@ -11,6 +11,7 @@ from wpchow import (
     AbelianGroupShape,
     AssemblyMismatchError,
     BlowupData,
+    ComplementPicard,
     GradedElement,
     GradedPresentation,
     Poly,
@@ -27,8 +28,8 @@ from wpchow import (
     m12bar_chow,
     parse_poly,
     phi_degree2_images,
-    pieces_equal,
-    restriction_hom,
+    quotient,
+    same_ideal,
     split_pieces,
     unkilled_relations,
 )
@@ -142,7 +143,7 @@ def test_exceptional_selfintersection():
 def test_cusp_class_and_complement():
     assert cusp_locus_class().value == 24 * Poly.variable("t") ** 2
     u_ring = cusp_complement_chow()
-    assert pieces_equal(u_ring, GradedPresentation.make([("t", 1)], ["24*t^2"]), 8)
+    assert same_ideal(u_ring, GradedPresentation.make([("t", 1)], ["24*t^2"]))
 
 
 def test_phi_degree2_images():
@@ -225,25 +226,41 @@ def test_m12_open_chow():
     twelve_t2 = parse_poly("12*t^2")
     assert twelve_t in presentation.relations
     assert twelve_t2 in presentation.relations
-    assert pieces_equal(presentation, GradedPresentation.make([("t", 1)], ["12*t"]), 8)
+    assert same_ideal(presentation, GradedPresentation.make([("t", 1)], ["12*t"]))
     degree_one = graded_piece(presentation, 1)
     assert degree_one == AbelianGroupShape.cyclic(12)
     assert degree_one != AbelianGroupShape.cyclic(6)
     assert degree_one != AbelianGroupShape.cyclic(24)
 
 
+def test_m12_open_chow_refuses_a_curve_class_of_weight_24(monkeypatch):
+    # Killing 24*t instead of 12*t gives pieces that agree with
+    # Z[t]/(24*t) in degrees 0 and 1 and differ from degree 2 on, so a
+    # degreewise check up to degree 1 passes this mutant.
+    mutant = quotient(cusp_complement_chow(), ["24*t", "12*t^2", "12*t^2"])
+    target = GradedPresentation.make([("t", 1)], ["24*t"])
+    assert [graded_piece(mutant, n) for n in (0, 1)] == [graded_piece(target, n) for n in (0, 1)]
+    assert graded_piece(mutant, 2) != graded_piece(target, 2)
+    real = blowup.pic_complement
+
+    def weight_24(data):
+        return ComplementPicard(AbelianGroupShape.cyclic(24), 24, real(data).assumptions)
+
+    monkeypatch.setattr(blowup, "pic_complement", weight_24)
+    for bound in (1, 8):
+        with pytest.raises(AssemblyMismatchError, match=r"Z\[t\]/\(24\*t\)"):
+            m12_open_chow(bound)
+
+
 def test_restriction_hom():
-    certified = restriction_hom()
-    assert certified.images_dict["x"].value == Poly.variable("t")
-    assert certified.images_dict["y"].value.is_zero
-    assert hom_check(certified.source, certified.target, certified.images_dict)
+    source, target = m12bar_chow(), m12_open_chow()
+    assert hom_check(source, target, {"x": "t", "y": 0})
     # relation-by-relation: x*y -> 0 trivially; 24x^2 + 24y^2 -> 24t^2,
     # which is 2t * (12t), hence zero in the target
-    assert is_zero(GradedElement.of(certified.target, "24*t^2"))
-    assert not hom_check(certified.source, certified.target, {"x": "t", "y": "t"})
+    assert is_zero(GradedElement.of(target, "24*t^2"))
+    assert not hom_check(source, target, {"x": "t", "y": "t"})
 
 
 def test_restriction_degree_zero_is_identity():
-    certified = restriction_hom()
-    assert graded_piece(certified.source, 0) == AbelianGroupShape(1, ())
-    assert graded_piece(certified.target, 0) == AbelianGroupShape(1, ())
+    assert graded_piece(m12bar_chow(), 0) == AbelianGroupShape(1, ())
+    assert graded_piece(m12_open_chow(), 0) == AbelianGroupShape(1, ())

@@ -23,13 +23,12 @@ from wpchow import (
     is_zero,
     monomials_of_degree,
     parse_poly,
-    pieces_equal,
     quotient,
+    same_ideal,
     solve_integer,
     substitute,
 )
 from wpchow.graded import _graded_piece_cached, _relation_rows
-from wpchow.intlinalg import invariant_factors
 
 M11BAR = GradedPresentation.make([("t", 1)], ["24*t^2"])
 M12BAR = GradedPresentation.make([("x", 1), ("y", 1)], ["x*y", "24*x^2 + 24*y^2"])
@@ -107,10 +106,10 @@ def test_is_zero_respects_ring_structure():
 def test_quotient_examples():
     p234_ring = GradedPresentation.make([("t", 1)], ["24*t^3"])
     cusp_killed = quotient(p234_ring, ["24*t^2"])
-    assert pieces_equal(cusp_killed, M11BAR, 8)
+    assert same_ideal(cusp_killed, M11BAR)
     assert quotient(p234_ring, []) == p234_ring
     twelve = quotient(M11BAR, ["12*t", "12*t^2"])
-    assert pieces_equal(twelve, M12, 8)
+    assert same_ideal(twelve, M12)
 
 
 def test_quotient_validates_elements():
@@ -154,12 +153,35 @@ def test_hom_check_unit_preserved():
     assert graded_piece(M12BAR, 0) == graded_piece(M12, 0) == AbelianGroupShape(1, ())
 
 
-def test_pieces_equal_examples():
+def test_same_ideal_examples():
     a = GradedPresentation.make([("t", 1)], ["24*t^3", "24*t^2"])
-    assert pieces_equal(a, M11BAR, 8)
-    assert pieces_equal(M12BAR, M12BAR, 10)
+    assert same_ideal(a, M11BAR)
+    assert same_ideal(M12BAR, M12BAR)
     b = GradedPresentation.make([("t", 1)], ["12*t^2"])
-    assert not pieces_equal(M11BAR, b, 2)
+    assert not same_ideal(M11BAR, b)
+    # The same ideal from other relations, with the generators reordered.
+    swapped = GradedPresentation.make([("y", 1), ("x", 1)], ["y*x", "24*y^2 + 24*x^2 - 3*x*y"])
+    assert same_ideal(M12BAR, swapped) and same_ideal(swapped, M12BAR)
+
+
+def test_same_ideal_needs_no_degree_bound():
+    # The pieces of Z[t]/(t^10) and Z[t]/(t^11) agree below degree 10, so
+    # any degreewise comparison up to 9 calls them equal.
+    short = GradedPresentation.make([("t", 1)], ["t^10"])
+    long = GradedPresentation.make([("t", 1)], ["t^11"])
+    assert [graded_piece(short, n) for n in range(10)] == [graded_piece(long, n) for n in range(10)]
+    assert graded_piece(short, 10) != graded_piece(long, 10)
+    assert not same_ideal(short, long)
+    assert not same_ideal(long, short)
+
+
+def test_same_ideal_refuses_other_generators():
+    with pytest.raises(ValueError, match="different generators"):
+        same_ideal(M11BAR, GradedPresentation.make([("s", 1)], ["24*s^2"]))
+    with pytest.raises(ValueError, match="different generators"):
+        same_ideal(M11BAR, GradedPresentation.make([("t", 2)], ["24*t^2"]))
+    with pytest.raises(ValueError, match="different generators"):
+        same_ideal(M12BAR, M12)
 
 
 def test_graded_piece_invariance_random():
@@ -276,9 +298,10 @@ def test_relation_matrix_factors_against_sympy():
     from sympy.matrices.normalforms import invariant_factors as sympy_factors
 
     for presentation in (ROADMAP, _sheared(ROADMAP, {"a": "a + c"})):
-        _, matrix = _relation_rows(presentation, 8)  # 84 x 45
+        basis, matrix = _relation_rows(presentation, 8)  # 84 x 45
         expected = [int(f) for f in sympy_factors(sympy.Matrix(matrix), domain=sympy.ZZ) if f]
-        assert invariant_factors(matrix) == expected
+        torsion = tuple(f for f in expected if f >= 2)
+        assert cokernel(matrix, len(basis)) == AbelianGroupShape(len(basis) - len(expected), torsion)
         assert expected[-4:] == [30, 150, 150, 450]
 
 

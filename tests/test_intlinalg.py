@@ -11,6 +11,7 @@ import pytest
 from oracles import (
     brute_force_diagonalizations,
     chain_by_prime_powers,
+    determinant,
     in_row_lattice_brute,
     invariant_factors_via_minor_gcds,
     mat_mul,
@@ -18,13 +19,19 @@ from oracles import (
 from wpchow import (
     AbelianGroupShape,
     cokernel,
-    determinant,
     hermite_normal_form,
-    invariant_factors,
     smith_normal_form,
     solve_integer,
 )
 from wpchow.intlinalg import _blocks
+
+
+def invariant_factors(matrix):
+    """The nonzero Smith diagonal, read off ``cokernel``: its torsion,
+    after as many 1s as the lattice's rank leaves over."""
+    width = len(matrix[0]) if matrix else 0
+    shape = cokernel(matrix, width)
+    return [1] * (width - shape.free_rank - len(shape.torsion)) + list(shape.torsion)
 
 
 def _assert_snf_contract(matrix):

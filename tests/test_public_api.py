@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,15 @@ SUBMODULES = ["blowup", "cli", "curves", "graded", "intlinalg", "poly", "report"
 MODULES = [importlib.import_module(f"wpchow.{name}") for name in SUBMODULES]
 
 # Public names taken out of the package; none may come back into an __all__.
-RETIRED_NAMES = ["ExceptionalSquare", "WeightedGrading"]
+RETIRED_NAMES = [
+    "ExceptionalSquare",
+    "RestrictionHom",
+    "WeightedGrading",
+    "determinant",
+    "invariant_factors",
+    "pieces_equal",
+    "restriction_hom",
+]
 # (class, member) pairs taken out with them.
 RETIRED_MEMBERS = [
     (wpchow.BlowupData, "ambient_grading"),
@@ -38,6 +48,12 @@ def test_no_all_lists_a_retired_name():
         assert not set(RETIRED_NAMES) & set(module.__all__), module.__name__
         for name in RETIRED_NAMES:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_readme_names_no_retired_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"`([^`\n]+)`", readme)
+    assert not set(re.findall(r"\w+", " ".join(spans))) & set(RETIRED_NAMES)
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from wpchow import (
     Monomial,
     Mu2FixedPoint,
     ReportItem,
-    RestrictionHom,
     ShortWeierstrass,
     VerificationReport,
     WeightedProjectiveStack,
@@ -32,7 +31,6 @@ from wpchow import (
 
 RING = GradedPresentation.make([("t", 1)], ["24*t^2"])
 ITEM = ReportItem("a", "b", "pass", "1", "1", "c")
-ELEMENT = GradedElement(RING, parse_poly("-t"), 1)
 
 # (class, field values by name in field order, repr)
 CASES = [
@@ -92,11 +90,6 @@ CASES = [
         "coords=(Fraction(1, 1), Fraction(0, 1), Fraction(-3, 1)))",
     ),
     (BlowupData, {"w1": 4, "w2": 6}, "BlowupData(w1=4, w2=6)"),
-    (
-        RestrictionHom,
-        {"source": RING, "target": RING, "images": (("t", ELEMENT),)},
-        f"RestrictionHom(source={RING!r}, target={RING!r}, images=(('t', {ELEMENT!r}),))",
-    ),
     (
         ReportItem,
         {"id": "a", "description": "b", "status": "pass", "expected": "1", "actual": "1",
