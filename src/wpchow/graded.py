@@ -53,7 +53,13 @@ def _coerce_relation(value: Union[Poly, str]) -> Poly:
 
 @frozen_record
 class GradedPresentation:
-    """Generators with positive degrees plus homogeneous integer relations."""
+    """Generators with positive degrees plus homogeneous integer relations.
+
+    Validation also leaves the layout that every relation matrix is built
+    from: the sorted generator names and degrees, and for each nonzero
+    relation its weighted degree and its terms as (exponent vector over
+    the sorted names, integer coefficient).
+    """
 
     generators: tuple[tuple[str, int], ...]
     relations: tuple[Poly, ...] = ()
@@ -67,6 +73,8 @@ class GradedPresentation:
                 raise ValueError(f"duplicate generator {name!r}")
             seen.add(name)
         grading = self.grading
+        names = sorted(seen)
+        layout = []
         for relation in self.relations:
             if not isinstance(relation, Poly):
                 raise TypeError("relations must be Poly instances")
@@ -76,7 +84,11 @@ class GradedPresentation:
             if not relation.has_integer_coefficients():
                 raise ValueError(f"relation {relation} must have integer coefficients")
             if not relation.is_zero:
-                weighted_degree(relation, grading)  # raises InhomogeneousError
+                degree = weighted_degree(relation, grading)  # raises InhomogeneousError
+                terms = relation.terms()
+                layout.append((degree, tuple((_exponents(m, names), int(c)) for m, c in terms)))
+        degrees = tuple(grading[name] for name in names)
+        object.__setattr__(self, "_layout", (tuple(names), degrees, tuple(layout)))
 
     @classmethod
     def make(
@@ -154,6 +166,22 @@ def _exponent_vectors(degrees: Sequence[int], degree: int) -> list[tuple[int, ..
     return [prefix + (rest // last,) for prefix, rest in partial if rest % last == 0]
 
 
+def _packed_vectors(degrees: Sequence[int], powers: Sequence[int], degree: int) -> list[int]:
+    """The vectors of :func:`_exponent_vectors`, in its order, each packed
+    as sum(e_i * powers[i])."""
+    if not degrees or degree < 0:
+        return [0] if degree == 0 else []
+    partial = [(0, degree)]
+    for d, power in zip(degrees[:-1], powers):
+        partial = [
+            (key + exp * power, rest - exp * d)
+            for key, rest in partial
+            for exp in range(rest // d, -1, -1)
+        ]
+    last, power = degrees[-1], powers[-1]
+    return [key + rest // last * power for key, rest in partial if rest % last == 0]
+
+
 def _relation_rows(
     presentation: GradedPresentation, degree: int
 ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
@@ -164,31 +192,26 @@ def _relation_rows(
     sorted generator names, in the order of :func:`monomials_of_degree`.
     No exponent exceeds ``degree``, so packing a vector e as
     sum(e_i * B^i) with B = degree + 1 turns multiplying by m into adding
-    its key: each row is a few index lookups, not a ``Poly`` product.
+    its key: each row is a few index lookups, not a ``Poly`` product.  The
+    multipliers m are enumerated as keys directly, once per relation
+    degree.
     """
-    gens = sorted(presentation.generators)
-    names = [name for name, _ in gens]
-    degrees = [d for _, d in gens]
-    powers = [(degree + 1) ** i for i in range(len(gens))]
-
-    def key(vector) -> int:
-        return sum(map(mul, vector, powers))
-
+    names, degrees, relations = presentation._layout
+    powers = [(degree + 1) ** i for i in range(len(names))]
     basis = _exponent_vectors(degrees, degree)
-    index = {key(vector): i for i, vector in enumerate(basis)}
-    grading = presentation.grading
+    index = {key: i for i, key in enumerate(_packed_vectors(degrees, powers, degree))}
+    shifts: dict[int, list[int]] = {}
     rows: list[list[int]] = []
-    for relation in presentation.relations:
-        if relation.is_zero:
-            continue
-        rel_degree = weighted_degree(relation, grading)
+    for rel_degree, terms in relations:
         if rel_degree > degree:
             continue
-        terms = [(key(_exponents(mono, names)), int(coeff)) for mono, coeff in relation.terms()]
-        for shift in map(key, _exponent_vectors(degrees, degree - rel_degree)):
+        if rel_degree not in shifts:
+            shifts[rel_degree] = _packed_vectors(degrees, powers, degree - rel_degree)
+        packed = [(sum(map(mul, vector, powers)), coeff) for vector, coeff in terms]
+        for shift in shifts[rel_degree]:
             row = [0] * len(basis)
-            for k, coeff in terms:
-                row[index[shift + k]] = coeff
+            for key, coeff in packed:
+                row[index[shift + key]] = coeff
             rows.append(row)
     return basis, rows
 
@@ -282,7 +305,7 @@ def is_zero(element: GradedElement) -> bool:
     if element.value.is_zero:
         return True
     basis, rows = _relation_rows(element.ambient, element.degree)
-    names = sorted(name for name, _ in element.ambient.generators)
+    names = element.ambient._layout[0]
     index = {exponents: i for i, exponents in enumerate(basis)}
     vector = [0] * len(basis)
     for mono, coeff in element.value.terms():

@@ -4,22 +4,32 @@ Everything here runs over Python's arbitrary-precision integers.  The
 public functions take and return plain lists of lists in row-major order;
 inside, rows are held sparsely as ``{column: value}``.
 
+Entries are read through ``operator.index``: a ``Fraction`` or ``float``
+raises ``TypeError`` rather than being truncated.
+
 Hermite normal form answers lattice-membership questions (is a vector an
 integer combination of the rows?).  Group shapes come from
 :func:`cokernel`, which builds no transform.  It first
 eliminates every +-1 pivot: each one removes a row and a column and
-contributes the factor 1.  The relation matrices of graded pieces (a few
-hundred rows and columns) are mostly +-1 entries, so what remains is
-small, and it is also block-diagonal with many repeated rows.  So the
-repeats are dropped and the remainder is split into blocks that share no
-column (the sparse elimination strategy of Dumas, Saunders and Villard,
-2001).  A block of one row contributes the gcd of its entries; any other
-is diagonalized by alternating row and column Hermite forms.  The
-diagonal of all blocks is returned as it is when its sorted entries
-already form a divisibility chain, and normalized with pairwise gcd/lcm
-otherwise.  The Hermite loop reduces the rows below and the
-entries above each pivot as it goes, which keeps entries small (the
-reduced elimination of Kannan and Bachem, 1979).
+contributes the factor 1.  The rows are visited shortest first from a
+worklist; a row that a later pivot changes goes back on it, since it may
+have gained a unit, and no other row is visited twice.  The relation
+matrices of graded pieces (a few hundred rows and columns) are mostly
++-1 entries, so what remains is small, and it is also block-diagonal
+with many repeated rows.  So the repeats are dropped and the remainder
+is split into blocks that share no column (the sparse elimination
+strategy of Dumas, Saunders and Villard, 2001).  A block of one row
+contributes the gcd of its entries; any other is diagonalized by
+alternating row and column Hermite forms, once per distinct block:
+blocks that are equal after renumbering their columns in order share
+one diagonal.  Those are mostly monomial translates of one relation
+pattern (the degree-8 piece of a four-generator ring has 14 blocks of
+more than one row, of only 4 kinds).  The diagonal of all blocks is
+returned as it is when its sorted entries already form a divisibility
+chain, and normalized with pairwise gcd/lcm otherwise.  The Hermite loop
+reduces the rows below and the entries above each pivot as it goes,
+which keeps entries small (the reduced elimination of Kannan and Bachem,
+1979).
 
 :func:`smith_normal_form` runs the same alternation with both unimodular
 transforms: each Hermite pass carries its row operations into ``U`` or
@@ -34,6 +44,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import gcd
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from ._record import frozen_record
@@ -115,23 +126,42 @@ def _sparse(matrix: Iterable[Sequence[int]]) -> tuple[list[dict[int, int]], int]
             width = len(row)
         elif len(row) != width:
             raise ValueError("ragged matrix")
-        rows.append({j: v for j in compress(range(width), row) if (v := int(row[j]))})
+        rows.append({j: index(row[j]) for j in compress(range(width), row)})
     return rows, width or 0
 
 
 def _sparse_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
     """Invariant factors of the lattice spanned by ``{column: value}`` rows.
 
-    The rows are consumed.
+    The rows are consumed.  Blocks with the same pattern (see
+    :func:`_pattern`) share one diagonalization.
     """
     units = _eliminate_unit_pivots(rows)
     diagonal = []
+    diagonals: dict[frozenset, list[int]] = {}
     for block in _blocks(rows):
         if len(block) == 1:
             diagonal.append(gcd(*block[0].values()))
-        else:
-            diagonal += _diagonal(block)
+            continue
+        pattern = _pattern(block)
+        if pattern not in diagonals:
+            diagonals[pattern] = _diagonal(block)
+        diagonal += diagonals[pattern]
     return [1] * units + _divisibility_chain(diagonal)
+
+
+def _pattern(block: list[dict[int, int]]) -> frozenset:
+    """The rows of a block with its columns renumbered 0, 1, ... in order.
+
+    Two blocks with the same pattern are the same matrix up to a
+    permutation of their columns, so they have the same invariant
+    factors.  The blocks of a relation matrix are mostly monomial
+    translates of one another: multiplying by a monomial keeps the
+    relative order of the basis columns, so translates share a pattern.
+    """
+    columns = sorted({j for row in block for j in row})
+    rank = dict(zip(columns, range(len(columns))))
+    return frozenset(frozenset((rank[j], value) for j, value in row.items()) for row in block)
 
 
 def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:
@@ -142,44 +172,47 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:
     touching any other row, so row i and column c split off as a factor
     1: row i is emptied and column c is gone from every row.  Short rows
     go first and, within a row, the column held by the fewest rows, which
-    keeps fill-in low.
+    keeps fill-in low.  A row changed by a pivot after its own visit may
+    have gained a unit, so it goes back on the worklist; no other row is
+    visited twice.
     """
     holders: dict[int, set[int]] = {}  # column -> rows with a nonzero there
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
+    work = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+    waiting = [True] * len(rows)  # row is in the unvisited part of work
     count = 0
-    progress = True
-    while progress:
-        progress = False
-        for i in sorted(range(len(rows)), key=lambda i: len(rows[i])):
-            row = rows[i]
-            units = [j for j, value in row.items() if value == 1 or value == -1]
-            if not units:
+    for i in work:
+        waiting[i] = False
+        row = rows[i]
+        units = [j for j, value in row.items() if value == 1 or value == -1]
+        if not units:
+            continue
+        c = min(units, key=lambda j: len(holders[j]))
+        sign = row.pop(c)
+        rest = row.items()
+        for k in holders.pop(c):
+            if k == i:
                 continue
-            c = min(units, key=lambda j: len(holders[j]))
-            sign = row[c]
-            for k in holders.pop(c):
-                if k == i:
-                    continue
-                other = rows[k]
-                q = other[c] * sign
-                for j, value in row.items():
-                    updated = other.get(j, 0) - q * value
-                    if updated:
-                        if j not in other:
-                            holders[j].add(k)
-                        other[j] = updated
-                    else:
-                        del other[j]
-                        if j != c:
-                            holders[j].discard(k)
-            for j in row:
-                if j != c:
-                    holders[j].discard(i)
-            row.clear()
-            count += 1
-            progress = True
+            other = rows[k]
+            q = other.pop(c) * sign
+            for j, value in rest:
+                updated = other.get(j, 0) - q * value
+                if updated:
+                    if j not in other:
+                        holders[j].add(k)
+                    other[j] = updated
+                else:
+                    del other[j]
+                    holders[j].discard(k)
+            if not waiting[k]:
+                waiting[k] = True
+                work.append(k)
+        for j in row:
+            holders[j].discard(i)
+        row.clear()
+        count += 1
     return count
 
 
@@ -345,8 +378,8 @@ def solve_integer(matrix: Sequence[Sequence[int]], target: Sequence[int]) -> Opt
     have length ``cols(M)``.  A returned solution is exact; ``None`` means
     ``b`` is not in the row lattice of ``M``.
     """
+    b = [index(value) for value in target]
     h, u = hermite_normal_form(matrix)
-    b = [int(value) for value in target]
     m = len(h)
     n = len(h[0]) if h else len(b)
     if any(len(row) != len(b) for row in h):

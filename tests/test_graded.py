@@ -293,6 +293,50 @@ def test_relation_rows_match_poly_products():
             ] == basis
 
 
+def _assert_rows_match_products(presentation, degrees):
+    expected = {}
+    for degree in degrees:
+        if degree not in expected:
+            expected[degree] = relation_rows_by_products(
+                presentation.generators, presentation.relations, degree
+            )
+        assert _relation_rows(presentation, degree) == expected[degree], degree
+
+
+def test_relation_rows_from_one_layout_over_many_degrees():
+    # Each presentation's layout is built once; every degree packs it
+    # with its own base, so the order of the queries must not matter.
+    weighted = GradedPresentation.make(
+        [("c", 3), ("a", 1), ("b", 2)], ["a*c - b^2", "6*a^2 + 10*b", "15*a*b*c", "0"]
+    )
+    for presentation in (weighted, M12BAR, M11BAR):
+        _assert_rows_match_products(presentation, [*range(31), *range(30, -1, -1)])
+
+
+def test_relation_rows_of_quotients():
+    sheared = _sheared(ROADMAP, {"a": "a - c"})
+    for presentation in (
+        quotient(ROADMAP, ["a^3", GradedElement.of(ROADMAP, "b*c")]),
+        quotient(sheared, ["2*a*b*c - c^3", "0"]),
+        quotient(M12BAR, [GradedElement.of(M12BAR, "x")]),
+        quotient(GradedPresentation.make([("x", 2), ("y", 3)]), ["x^3 - y^2", "6*x*y"]),
+    ):
+        _assert_rows_match_products(presentation, range(10))
+
+
+def test_relation_rows_below_every_relation_degree():
+    for presentation, lowest in (
+        (GradedPresentation.make([("x", 2), ("y", 3)], ["x^3 - y^2"]), 6),
+        (GradedPresentation.make([("a", 1), ("b", 1)], ["a^4 + 2*b^4", "7*a^3*b"]), 4),
+    ):
+        for degree in range(lowest):
+            basis, rows = _relation_rows(presentation, degree)
+            assert rows == []
+            _assert_rows_match_products(presentation, [degree])
+            _graded_piece_cached.cache_clear()
+            assert graded_piece(presentation, degree) == AbelianGroupShape.free(len(basis))
+
+
 def test_relation_matrix_factors_against_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors as sympy_factors
@@ -338,5 +382,6 @@ def test_uncached_graded_piece_hands_dense_rows_to_cokernel(monkeypatch):
     assert ambient_rank == len(basis) == 45
     assert type(rows) is list and len(rows) == 84
     assert all(type(row) is list and len(row) == len(basis) for row in rows)
+    assert rows == _relation_rows(ROADMAP, 8)[1]
     assert graded_piece(ROADMAP, 8) == ROADMAP_PIECE
     assert len(calls) == 1

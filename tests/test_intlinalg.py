@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -25,7 +26,8 @@ from wpchow import (
     smith_normal_form,
     solve_integer,
 )
-from wpchow.intlinalg import _blocks
+from wpchow import intlinalg
+from wpchow.intlinalg import _blocks, _eliminate_unit_pivots, _pattern
 
 
 def invariant_factors(matrix):
@@ -352,22 +354,37 @@ def test_hermite_form_depends_only_on_the_lattice():
 # -- the block split after unit elimination ---------------------------------
 
 
-def _block_diagonal(rng, shapes, values):
+def _block_diagonal(rng, shapes, values, repeat=False):
     """A block-diagonal matrix with blocks of the given shapes and entries,
-    its rows and columns shuffled; also returns the blocks."""
+    its rows and columns shuffled; also returns the blocks.
+
+    With ``repeat``, a block may copy an earlier block of its shape, and
+    half the time the columns move block by block, each block keeping the
+    order of its own columns, so that the copies are translates.
+    """
     m, n = sum(r for r, _ in shapes), sum(c for _, c in shapes)
     matrix = [[0] * n for _ in range(m)]
     blocks = []
+    spans = []
     top = left = 0
     for r, c in shapes:
-        block = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
+        earlier = [b for b in blocks if (len(b), len(b[0])) == (r, c)]
+        if repeat and earlier and rng.random() < 0.5:
+            block = [row[:] for row in rng.choice(earlier)]
+        else:
+            block = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
         for i, row in enumerate(block):
             matrix[top + i][left : left + c] = row
         blocks.append(block)
+        spans.append(range(left, left + c))
         top, left = top + r, left + c
     rng.shuffle(matrix)
-    columns = list(range(n))
-    rng.shuffle(columns)
+    if repeat and rng.random() < 0.5:
+        rng.shuffle(spans)
+        columns = [j for span in spans for j in span]
+    else:
+        columns = list(range(n))
+        rng.shuffle(columns)
     return [[row[j] for j in columns] for row in matrix], blocks
 
 
@@ -379,7 +396,7 @@ def _factors_by_blocks(blocks):
     )
 
 
-def test_invariant_factors_of_shuffled_block_diagonal_matrices():
+def test_invariant_factors_of_shuffled_block_diagonal_matrices(monkeypatch):
     rng = random.Random(71)
     values = [0, 0, 1, -1, 2, -2, 3, 4, -6, 10, 15]
     for _ in range(300):
@@ -390,6 +407,63 @@ def test_invariant_factors_of_shuffled_block_diagonal_matrices():
         assert _smith_diagonal(matrix) == expected
         if len(matrix) <= 6 and len(matrix[0]) <= 6:
             assert invariant_factors_via_minor_gcds(matrix) == expected
+    # Repeated shapes and copied blocks, so that equal blocks come both as
+    # translates, which share one diagonalization, and under arbitrary
+    # column permutations.
+    calls = {"blocks": 0, "diagonals": 0}
+    blocks_of, diagonal_of = intlinalg._blocks, intlinalg._diagonal
+
+    def count_blocks(rows):
+        found = blocks_of(rows)
+        calls["blocks"] += sum(len(block) > 1 for block in found)
+        return found
+
+    def count_diagonals(rows):
+        calls["diagonals"] += 1
+        return diagonal_of(rows)
+
+    monkeypatch.setattr(intlinalg, "_blocks", count_blocks)
+    monkeypatch.setattr(intlinalg, "_diagonal", count_diagonals)
+    rng = random.Random(72)
+    values = [0, 2, -2, 3, 4, -6, 10, 15]
+    for _ in range(200):
+        shapes = [rng.choice([(2, 2), (3, 2), (2, 3)]) for _ in range(rng.randint(2, 7))]
+        matrix, blocks = _block_diagonal(rng, shapes, values, repeat=True)
+        expected = _factors_by_blocks(blocks)
+        assert invariant_factors(matrix) == expected
+        assert _smith_diagonal(matrix) == expected
+        if len(matrix) <= 6 and len(matrix[0]) <= 6:
+            assert invariant_factors_via_minor_gcds(matrix) == expected
+    assert calls["diagonals"] < calls["blocks"]
+
+
+def test_translated_blocks_share_one_diagonal(monkeypatch):
+    calls = []
+    diagonal_of = intlinalg._diagonal
+
+    def count_diagonals(rows):
+        calls.append(len(rows))
+        return diagonal_of(rows)
+
+    monkeypatch.setattr(intlinalg, "_diagonal", count_diagonals)
+    base = [[2, 4], [6, 8]]  # factors 2, 4
+    other = [[2, 4], [6, 10]]  # the same support, one value apart: 2, 2
+    swapped = [row[::-1] for row in base]  # base with its columns swapped
+    blocks = [base, base, swapped, other]
+    matrix = [[0] * 8 for _ in range(8)]
+    for b, block in enumerate(blocks):
+        for i, row in enumerate(block):
+            matrix[2 * b + i][2 * b : 2 * b + 2] = row
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    assert _pattern(sparse[0:2]) == _pattern(sparse[2:4])
+    assert _pattern(sparse[0:2]) != _pattern(sparse[4:6])
+    assert _pattern(sparse[0:2]) != _pattern(sparse[6:8])
+    expected = chain_by_prime_powers([2, 4, 2, 4, 2, 4, 2, 2])
+    assert _factors_by_blocks(blocks) == expected
+    assert invariant_factors(matrix) == expected
+    # The translate reuses the first block's diagonal; the swapped copy and
+    # the block one value apart are diagonalized on their own.
+    assert len(calls) == 3
 
 
 def test_duplicate_and_zero_rows_leave_the_factors_unchanged():
@@ -408,6 +482,50 @@ def test_duplicate_and_zero_rows_leave_the_factors_unchanged():
             padded += [[0] * n for _ in range(rng.randint(0, 2))]
             rng.shuffle(padded)
             assert invariant_factors(padded) == _smith_diagonal(matrix)
+
+
+def test_a_unit_exposed_in_a_visited_row_is_eliminated():
+    # Row 0 has no unit when it is visited; the pivot of row 1 leaves it
+    # {1: 1}, which must be eliminated too.
+    rows = [{0: 2, 1: 3}, {0: 1, 1: 1}]
+    assert _eliminate_unit_pivots(rows) == 2
+    assert rows == [{}, {}]
+    assert invariant_factors([[2, 3], [1, 1]]) == [1, 1]
+
+
+def test_unit_pivots_cascade_through_visited_rows():
+    # Only the fifth row holds a unit.  Each pivot leaves a unit in the row
+    # visited just before it, so the elimination runs back up the list;
+    # the last row keeps its factor 2.
+    rows = [
+        {3: 2, 4: 5, 5: 2},
+        {2: 2, 3: 5, 4: 2},
+        {1: 2, 2: 5, 3: 2},
+        {0: 2, 1: 3, 2: 2},
+        {0: 1, 1: 1, 6: 6},
+        {5: 6, 6: 4},
+    ]
+    matrix = [[row.get(j, 0) for j in range(7)] for row in rows]
+    assert _eliminate_unit_pivots(rows) == 5
+    assert rows == [{}, {}, {}, {}, {}, {5: 6, 6: 4}]
+    assert invariant_factors(matrix) == invariant_factors_via_minor_gcds(matrix) == [1] * 5 + [2]
+
+
+def test_non_integer_entries_are_refused():
+    # int() would truncate these to the trivial group, Z/2 and [1].
+    with pytest.raises(TypeError):
+        cokernel([[Fraction(3, 2)]], 1)
+    with pytest.raises(TypeError):
+        cokernel([[2.7]], 1)
+    with pytest.raises(TypeError):
+        solve_integer([[2]], [Fraction(5, 2)])
+    with pytest.raises(TypeError):
+        solve_integer([[Fraction(1, 2)]], [1])
+    with pytest.raises(TypeError):
+        hermite_normal_form([[1, 0.5]])
+    with pytest.raises(TypeError):
+        smith_normal_form([[Fraction(1, 3)]])
+    assert cokernel([[True, 2], [0, 0.0]], 2) == AbelianGroupShape(1, ())
 
 
 def test_blocks_linked_through_one_column_stay_one_block():
@@ -460,6 +578,13 @@ def test_shuffled_block_diagonal_matrices_against_sympy():
         shapes = [(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(count)]
         matrix, blocks = _block_diagonal(rng, shapes, values)
         matrix += [row[:] for row in rng.sample(matrix, 5)]
+        expected = [int(f) for f in sympy_factors(sympy.Matrix(matrix), domain=sympy.ZZ) if f]
+        assert expected == _factors_by_blocks(blocks)
+        assert invariant_factors(matrix) == expected
+    rng = random.Random(98)
+    for _ in range(6):
+        shapes = [rng.choice([(2, 2), (3, 2)]) for _ in range(10)]
+        matrix, blocks = _block_diagonal(rng, shapes, values, repeat=True)
         expected = [int(f) for f in sympy_factors(sympy.Matrix(matrix), domain=sympy.ZZ) if f]
         assert expected == _factors_by_blocks(blocks)
         assert invariant_factors(matrix) == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -61,3 +62,24 @@ def test_readme_names_no_retired_name():
 )
 def test_retired_members_are_gone(cls, member):
     assert not hasattr(cls, member)
+
+
+def _traced_entry_points():
+    """The ``TRACED`` list of the benchmark's tracer, read without importing it."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        targets = [getattr(target, "id", None) for target in getattr(node, "targets", ())]
+        if targets == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACED list in {source}")
+
+
+def test_every_traced_entry_point_resolves():
+    # The benchmark wraps these names; one that no longer resolves would
+    # stop every traced run.
+    traced = _traced_entry_points()
+    assert ("graded", "graded_piece") in traced and ("intlinalg", "cokernel") in traced
+    for module_name, attribute in traced:
+        module = importlib.import_module(f"wpchow.{module_name}")
+        assert callable(getattr(module, attribute, None)), f"wpchow.{module_name}.{attribute}"
+    assert "__mul__" in vars(wpchow.Poly)
