@@ -166,20 +166,31 @@ def _exponent_vectors(degrees: Sequence[int], degree: int) -> list[tuple[int, ..
     return [prefix + (rest // last,) for prefix, rest in partial if rest % last == 0]
 
 
-def _packed_vectors(degrees: Sequence[int], powers: Sequence[int], degree: int) -> list[int]:
-    """The vectors of :func:`_exponent_vectors`, in its order, each packed
-    as sum(e_i * powers[i])."""
-    if not degrees or degree < 0:
-        return [0] if degree == 0 else []
-    partial = [(0, degree)]
-    for d, power in zip(degrees[:-1], powers):
-        partial = [
-            (key + exp * power, rest - exp * d)
-            for key, rest in partial
-            for exp in range(rest // d, -1, -1)
-        ]
-    last, power = degrees[-1], powers[-1]
-    return [key + rest // last * power for key, rest in partial if rest % last == 0]
+@lru_cache(maxsize=128)
+def _basis(
+    degrees: tuple[int, ...], degree: int
+) -> tuple[tuple[tuple[int, ...], ...], dict[int, int], tuple[int, ...]]:
+    """The degree-``degree`` exponent basis over generators of the given
+    degrees, its packed index and the packing powers.
+
+    A vector e is packed as sum(e_i * B^i) with B = degree + 1, so the
+    target degree is part of every key.  Nothing here depends on the
+    relations or the generator names: presentations that share their
+    sorted generator degrees share the result, which callers only read.
+    """
+    powers = tuple((degree + 1) ** i for i in range(len(degrees)))
+    basis = tuple(_exponent_vectors(degrees, degree))
+    index = {sum(map(mul, vector, powers)): i for i, vector in enumerate(basis)}
+    return basis, index, powers
+
+
+@lru_cache(maxsize=512)
+def _shifts(degrees: tuple[int, ...], degree: int, rel_degree: int) -> tuple[int, ...]:
+    """Packed keys, in the packing of :func:`_basis` for ``degree``, of the
+    multipliers that lift a relation of degree ``rel_degree`` to ``degree``."""
+    powers = _basis(degrees, degree)[2]
+    vectors = _exponent_vectors(degrees, degree - rel_degree)
+    return tuple(sum(map(mul, vector, powers)) for vector in vectors)
 
 
 def _relation_rows(
@@ -190,30 +201,26 @@ def _relation_rows(
     The lattice is spanned by all products m * r with r a relation and m a
     monomial such that deg(m * r) == degree.  Exponent vectors follow the
     sorted generator names, in the order of :func:`monomials_of_degree`.
-    No exponent exceeds ``degree``, so packing a vector e as
-    sum(e_i * B^i) with B = degree + 1 turns multiplying by m into adding
-    its key: each row is a few index lookups, not a ``Poly`` product.  The
-    multipliers m are enumerated as keys directly, once per relation
-    degree.
+    No exponent exceeds ``degree``, so packing a vector as in
+    :func:`_basis` turns multiplying by m into adding its key: each row is
+    a few index lookups, not a ``Poly`` product.  The basis, its index and
+    the multipliers' keys depend only on the sorted generator degrees and
+    the two degrees, so they come from caches shared by every
+    presentation; the basis is handed out as a fresh list.
     """
-    names, degrees, relations = presentation._layout
-    powers = [(degree + 1) ** i for i in range(len(names))]
-    basis = _exponent_vectors(degrees, degree)
-    index = {key: i for i, key in enumerate(_packed_vectors(degrees, powers, degree))}
-    shifts: dict[int, list[int]] = {}
+    _, degrees, relations = presentation._layout
+    basis, index, powers = _basis(degrees, degree)
     rows: list[list[int]] = []
     for rel_degree, terms in relations:
         if rel_degree > degree:
             continue
-        if rel_degree not in shifts:
-            shifts[rel_degree] = _packed_vectors(degrees, powers, degree - rel_degree)
         packed = [(sum(map(mul, vector, powers)), coeff) for vector, coeff in terms]
-        for shift in shifts[rel_degree]:
+        for shift in _shifts(degrees, degree, rel_degree):
             row = [0] * len(basis)
             for key, coeff in packed:
                 row[index[shift + key]] = coeff
             rows.append(row)
-    return basis, rows
+    return list(basis), rows
 
 
 def _exponents(mono: Monomial, names: Sequence[str]) -> tuple[int, ...]:
@@ -304,12 +311,14 @@ def is_zero(element: GradedElement) -> bool:
     """True iff the element lies in the relation lattice of its degree."""
     if element.value.is_zero:
         return True
-    basis, rows = _relation_rows(element.ambient, element.degree)
-    names = element.ambient._layout[0]
-    index = {exponents: i for i, exponents in enumerate(basis)}
-    vector = [0] * len(basis)
+    names, degrees, _ = element.ambient._layout
+    _, rows = _relation_rows(element.ambient, element.degree)
+    _, index, powers = _basis(degrees, element.degree)
+    power = dict(zip(names, powers))
+    vector = [0] * len(index)
     for mono, coeff in element.value.terms():
-        vector[index[_exponents(mono, names)]] = int(coeff)
+        key = sum(exp * power[name] for name, exp in mono.exponents)
+        vector[index[key]] = int(coeff)
     if not rows:
         return not any(vector)
     return solve_integer(rows, vector) is not None

@@ -424,7 +424,8 @@ _COEFFICIENT_BITS = 1 << 16
 # Token kinds, in the order of the groups of ``_TOKEN``; its last group
 # catches any other character, so no text is skipped.
 _NUMBER, _NAME, _SYMBOL = 1, 2, 3
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()])|(\S))")
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a variable name
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_IDENTIFIER.pattern})|([+\-*/^()])|(\S))")
 _END = (None, None)
 
 

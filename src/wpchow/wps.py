@@ -33,7 +33,7 @@ from typing import Iterable, Sequence, Union
 from ._record import frozen_record
 from .graded import GradedElement, GradedPresentation, quotient
 from .intlinalg import AbelianGroupShape
-from .poly import Poly, weighted_degree
+from .poly import _IDENTIFIER, Poly, weighted_degree
 
 __all__ = [
     "CHOW_GENERATOR",
@@ -138,6 +138,14 @@ class HypersurfaceComplementInput:
     polynomial: Poly
 
     def __post_init__(self):
+        if self.polynomial.is_zero:
+            raise ValueError("the defining polynomial must be nonzero")
+        for name in self.variables:
+            if not isinstance(name, str) or not _IDENTIFIER.fullmatch(name):
+                raise ValueError(
+                    f"variable {name!r} is not a name of the polynomial syntax "
+                    "(a letter or _, then letters, digits or _)"
+                )
         if len(self.weights) != len(self.variables):
             raise ValueError("need exactly one variable per weight")
         for w in self.weights:
@@ -147,8 +155,6 @@ class HypersurfaceComplementInput:
             raise ValueError("variables must be distinct")
         if not set(self.polynomial.variables) <= set(self.variables):
             raise ValueError("polynomial uses variables without a weight")
-        if self.polynomial.is_zero:
-            raise ValueError("the defining polynomial must be nonzero")
         weighted_degree(self.polynomial, self.grading)  # homogeneity invariant
 
     @property

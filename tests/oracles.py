@@ -222,7 +222,7 @@ def relation_rows_by_products(generators, relations, degree: int):
     names = sorted(weight)
 
     def vectors(total):
-        box = product(range(max(total, 0) + 1), repeat=len(names))
+        box = product(*(range(max(total, 0) // weight[n] + 1) for n in names))
         found = (e for e in box if sum(weight[n] * x for n, x in zip(names, e)) == total)
         return sorted(found, reverse=True)
 

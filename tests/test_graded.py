@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import invariant_factors_via_minor_gcds, relation_rows_by_products
+from wpchow import graded, intlinalg
 from wpchow import (
     AbelianGroupShape,
     DegreeMismatchError,
@@ -27,6 +28,7 @@ from wpchow import (
     same_ideal,
     solve_integer,
     substitute,
+    weighted_degree,
 )
 from wpchow.graded import _graded_piece_cached, _relation_rows
 
@@ -207,8 +209,6 @@ def test_graded_piece_invariance_random():
             # replace r0 by r0 + m * r1 for a monomial m making degrees match
             first = parse_poly(relations[0])
             second = parse_poly(relations[1])
-            from wpchow import weighted_degree
-
             grading = base.grading
             gap = weighted_degree(first, grading) - weighted_degree(second, grading)
             if gap >= 0:
@@ -335,6 +335,169 @@ def test_relation_rows_below_every_relation_degree():
             _assert_rows_match_products(presentation, [degree])
             _graded_piece_cached.cache_clear()
             assert graded_piece(presentation, degree) == AbelianGroupShape.free(len(basis))
+
+
+# -- bases shared by presentations with the same generator degrees -------------
+
+QUAD4 = GradedPresentation.make(
+    [("a", 1), ("b", 1), ("c", 1), ("d", 1)], ["a*d - b*c", "4*a^2 + 6*c^2", "10*b*d"]
+)
+# As in perfbench/data/pieces_table.json, which is checked against sympy.
+QUAD4_PIECE_8 = AbelianGroupShape(8, (2,) * 49 + (10,) * 19 + (60,) * 5)
+WEIGHTED = GradedPresentation.make(
+    [("c", 3), ("a", 1), ("b", 2)], ["a*c - b^2", "6*a^2 + 10*b", "15*a*b*c", "0"]
+)
+WEIGHTED_46 = GradedPresentation.make([("u", 4), ("t", 6)], ["2*u^3 + 3*t^2", "5*u*t"])
+
+
+def _renamed(presentation, names):
+    """Generator ``i`` renamed to ``names[i]``, the generators listed in
+    reverse order."""
+    mapping = {
+        old: Poly.variable(new) for (old, _), new in zip(presentation.generators, names)
+    }
+    generators = tuple((new, d) for (_, d), new in zip(presentation.generators, names))
+    relations = tuple(substitute(r, mapping) for r in presentation.relations)
+    return GradedPresentation(generators[::-1], relations)
+
+
+def _copies(presentation):
+    """The presentation, its generators listed in reverse, and a renaming
+    that reverses their sorted order (listed in reverse as well)."""
+    names = [name for name, _ in presentation.generators]
+    ranks = sorted(names)
+    flipped = [f"v{len(names) - ranks.index(name)}" for name in names]
+    reordered = GradedPresentation(presentation.generators[::-1], presentation.relations)
+    return [presentation, reordered, _renamed(presentation, flipped)]
+
+
+def test_relation_rows_from_shared_bases_over_interleaved_queries():
+    # Bases are shared by every presentation whose sorted generator degrees
+    # agree, so queries of (1,1,1), (1,1,1,1), (1,2,3) and (4,6) rings and
+    # of renamed and reordered copies are mixed in a random order.  The
+    # unweighted rings stop at degrees 18 and 10, where the oracle's Poly
+    # products still take well under a second.
+    schedule = []
+    for presentation, top in ((ROADMAP, 18), (QUAD4, 10), (WEIGHTED, 30), (WEIGHTED_46, 30)):
+        for copy in _copies(presentation):
+            schedule += [(copy, degree) for degree in range(top + 1)]
+    random.Random(61).shuffle(schedule)
+    graded._basis.cache_clear()
+    graded._shifts.cache_clear()
+    expected = {}
+    for presentation, degree in schedule + schedule[::-1]:
+        key = (tuple(sorted(presentation.generators)), presentation.relations, degree)
+        if key not in expected:
+            expected[key] = relation_rows_by_products(
+                presentation.generators, presentation.relations, degree
+            )
+        assert _relation_rows(presentation, degree) == expected[key], (presentation, degree)
+    assert graded._basis.cache_info().hits > 0 and graded._shifts.cache_info().hits > 0
+
+
+def test_a_returned_basis_is_the_callers_own():
+    renamed = _renamed(ROADMAP, ["x", "y", "z"])
+    basis, rows = _relation_rows(ROADMAP, 5)
+    expected = (list(basis), rows)
+    basis[0] = (9, 9, 9)
+    basis.append((0, 0, 0))
+    assert _relation_rows(ROADMAP, 5) == expected
+    assert _relation_rows(renamed, 5)[0] == expected[0]
+    basis.clear()
+    assert _relation_rows(ROADMAP, 5) == expected
+
+
+def _is_zero_by_products(element, oracle):
+    """is_zero on the oracle's basis and rows, through a tuple index."""
+    basis, rows = oracle
+    names = sorted(name for name, _ in element.ambient.generators)
+    index = {vector: i for i, vector in enumerate(basis)}
+    vector = [0] * len(basis)
+    for mono, coeff in element.value.terms():
+        powers = dict(mono.exponents)
+        vector[index[tuple(powers.get(name, 0) for name in names)]] = int(coeff)
+    return solve_integer(rows, vector) is not None if rows else not any(vector)
+
+
+def test_is_zero_on_membership_lattices_and_weighted_rings():
+    # The benchmark's membership lattices (the ROADMAP ring at degrees
+    # 6-12, the compactified moduli ring at 8-32), weighted rings, and a
+    # renamed copy that shares the ROADMAP ring's bases.
+    rng = random.Random(67)
+    answers = []
+    cases = [
+        (ROADMAP, range(6, 13)),
+        (_renamed(ROADMAP, ["z", "y", "x"]), range(6, 13)),
+        (M12BAR, range(8, 33)),
+        (WEIGHTED, range(19)),
+        (WEIGHTED_46, range(31)),
+    ]
+    for presentation, degrees in cases:
+        grading = presentation.grading
+        for degree in degrees:
+            basis = monomials_of_degree(presentation.generators, degree)
+            if not basis:
+                continue
+            oracle = relation_rows_by_products(
+                presentation.generators, presentation.relations, degree
+            )
+            products = [
+                (relation, mono)
+                for relation in presentation.relations
+                if not relation.is_zero
+                for mono in monomials_of_degree(
+                    presentation.generators, degree - weighted_degree(relation, grading)
+                )
+            ]
+            for _ in range(3):
+                member = Poly.zero()
+                for relation, mono in rng.sample(products, min(3, len(products))):
+                    member = member + rng.choice((-2, -1, 1, 3)) * Poly({mono: 1}) * relation
+                element = GradedElement(presentation, member, degree)
+                assert is_zero(element) and _is_zero_by_products(element, oracle)
+                extra = rng.choice((1, 2, 6, 24, 25)) * Poly({rng.choice(basis): 1})
+                element = GradedElement(presentation, member + extra, degree)
+                answers.append(_is_zero_by_products(element, oracle))
+                assert is_zero(element) == answers[-1], (presentation, element)
+    assert True in answers and False in answers
+
+
+def test_renamed_pieces_enumerate_their_basis_once(monkeypatch):
+    calls = []
+    enumerate_vectors = graded._exponent_vectors
+
+    def spy(degrees, degree):
+        calls.append((tuple(degrees), degree))
+        return enumerate_vectors(degrees, degree)
+
+    monkeypatch.setattr(graded, "_exponent_vectors", spy)
+    graded._basis.cache_clear()
+    graded._shifts.cache_clear()
+    _graded_piece_cached.cache_clear()
+    first = _renamed(QUAD4, ["w", "x", "y", "z"])
+    second = _renamed(QUAD4, ["p3", "p1", "p2", "p0"])
+    assert graded_piece(first, 8) == graded_piece(second, 8) == QUAD4_PIECE_8
+    # One degree-8 basis, and one set of degree-6 multipliers for all three
+    # degree-2 relations of both copies.
+    assert calls == [((1, 1, 1, 1), 8), ((1, 1, 1, 1), 6)]
+
+
+def test_the_sheared_degree_6_piece_takes_three_hermite_passes(monkeypatch):
+    # Under c -> c + a, the unit pivots leave one 30 x 13 block.  Its
+    # Hermite passes expose pivots equal to 1, which split off before the
+    # rest is transposed: 3 passes, where carrying them along took 4.
+    passes = []
+    hermite = intlinalg._hermite
+
+    def count(h, carried=None):
+        passes.append(len(h))
+        return hermite(h, carried)
+
+    monkeypatch.setattr(intlinalg, "_hermite", count)
+    _graded_piece_cached.cache_clear()
+    assert graded_piece(_sheared(ROADMAP, {"c": "c + a"}), 6) == ROADMAP_PIECE
+    assert passes[0] == 30
+    assert len(passes) <= 3
 
 
 def test_relation_matrix_factors_against_sympy():

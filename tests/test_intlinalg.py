@@ -511,6 +511,99 @@ def test_unit_pivots_cascade_through_visited_rows():
     assert invariant_factors(matrix) == invariant_factors_via_minor_gcds(matrix) == [1] * 5 + [2]
 
 
+# -- pivots equal to 1 split off between Hermite passes ------------------------
+
+
+def _sparse_rows(matrix):
+    return [{j: value for j, value in enumerate(row) if value} for row in matrix]
+
+
+def _first_pass_units(matrix):
+    """How many pivots equal to 1 the first row Hermite pass leaves."""
+    return sum(row[min(row)] == 1 for row in intlinalg._hermite(_sparse_rows(matrix)) if row)
+
+
+def _count_hermite_passes(monkeypatch):
+    passes = []
+    hermite = intlinalg._hermite
+
+    def count(h, carried=None):
+        passes.append(len(h))
+        return hermite(h, carried)
+
+    monkeypatch.setattr(intlinalg, "_hermite", count)
+    return passes
+
+
+def test_a_pivot_of_one_splits_off_after_its_hermite_pass(monkeypatch):
+    # No entry is +-1, so unit elimination leaves each matrix whole.  The
+    # first pass turns [[2, 3], [3, 2]] into [[1, 4], [0, 5]]; the pivot 1
+    # splits off as a factor 1 and [5] is diagonal, with no second pass.
+    passes = _count_hermite_passes(monkeypatch)
+    assert intlinalg._diagonal(_sparse_rows([[2, 3], [3, 2]])) == [1, 5]
+    assert len(passes) == 1
+    assert invariant_factors([[2, 3], [3, 2]]) == [1, 5]
+    # The first pass of [[2, 3], [0, 2]] is [[2, 1], [0, 2]]: pivots 2 do
+    # not split off, since the 1 beside the first couples the rows (Z/4,
+    # not Z/2 x Z/2).
+    assert _first_pass_units([[2, 3], [0, 2]]) == 0
+    assert invariant_factors([[2, 3], [0, 2]]) == [1, 4]
+    assert invariant_factors_via_minor_gcds([[2, 3], [0, 2]]) == [1, 4]
+
+
+def test_blocks_whose_hermite_pass_leaves_pivots_of_one_against_minor_gcds():
+    rng = random.Random(103)
+    values = [0, 0, 2, -2, 3, -3, 4, 5, -6, 10, 15]
+    tried = 0
+    for _ in range(150):
+        while True:
+            m, n = rng.randint(2, 4), rng.randint(2, 4)
+            matrix = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+            tried += 1
+            if _first_pass_units(matrix):
+                break
+        expected = invariant_factors_via_minor_gcds(matrix)
+        assert invariant_factors(matrix) == expected, matrix
+        assert cokernel(matrix, n).free_rank == n - len(expected)
+    assert tried > 150
+
+
+def _sheared_degree_6_block():
+    """Degree 6 of the ROADMAP ring sheared by c -> c + a, and the one
+    block of more than one row that its unit pivots leave, dense."""
+    matrix = _roadmap_rows(6, ["a*b - (c + a)^2", "6*a^2 + 10*b^2", "15*a*(c + a)"])
+    rows = _sparse_rows(matrix)
+    _eliminate_unit_pivots(rows)
+    (block,) = [block for block in _blocks(rows) if len(block) > 1]
+    columns = sorted({j for row in block for j in row})
+    return matrix, [[row.get(j, 0) for j in columns] for row in block]
+
+
+def test_the_sheared_degree_6_block_splits_its_unit_pivots(monkeypatch):
+    # The block's first Hermite pass leaves pivots equal to 1; splitting
+    # them off takes it from 4 passes to 3.
+    matrix, dense = _sheared_degree_6_block()
+    assert (len(dense), len(dense[0])) == (30, 13)
+    assert _first_pass_units(dense) > 0
+    passes = _count_hermite_passes(monkeypatch)
+    diagonal = intlinalg._diagonal(_sparse_rows(dense))
+    assert len(passes) == 3
+    assert 1 in diagonal
+    assert invariant_factors(dense) == chain_by_prime_powers(diagonal)
+    # The piece is the ROADMAP ring's, since a shear is an automorphism.
+    assert invariant_factors(matrix)[-4:] == [30, 150, 150, 450]
+    assert cokernel(matrix, len(matrix[0])) == AbelianGroupShape(0, (30, 150, 150, 450))
+
+
+def test_the_sheared_degree_6_block_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    _, dense = _sheared_degree_6_block()
+    expected = [int(f) for f in sympy_factors(sympy.Matrix(dense), domain=sympy.ZZ) if f]
+    assert invariant_factors(dense) == expected
+
+
 def test_non_integer_entries_are_refused():
     # int() would truncate these to the trivial group, Z/2 and [1].
     with pytest.raises(TypeError):

@@ -83,3 +83,26 @@ def test_every_traced_entry_point_resolves():
         module = importlib.import_module(f"wpchow.{module_name}")
         assert callable(getattr(module, attribute, None)), f"wpchow.{module_name}.{attribute}"
     assert "__mul__" in vars(wpchow.Poly)
+
+
+def test_every_lru_cache_has_a_finite_maxsize():
+    # A cache that grows with the traffic grows the process with it.
+    package = Path(wpchow.__file__).resolve().parent
+    sizes = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                assert node.name != "cache", f"{path.name}: functools.cache is unbounded"
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name not in ("lru_cache", "cache"):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            assert name == "lru_cache" and id(node) in calls, f"{where}: {name} without maxsize"
+            call = calls[id(node)]
+            size = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+            assert len(size) == 1 and isinstance(size[0], ast.Constant), where
+            assert type(size[0].value) is int and size[0].value > 0, where
+            sizes.append((path.name, size[0].value))
+    assert sum(module == "graded.py" for module, _ in sizes) == 3

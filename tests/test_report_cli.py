@@ -257,6 +257,23 @@ def test_cli_pic_complement_inhomogeneous(capsys):
     assert "not homogeneous" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["2", "--poly", "0"], "error: the defining polynomial must be nonzero\n"),
+        (
+            ["1", "1", "--poly", "x", "--vars", "x,"],
+            "error: variable '' is not a name of the polynomial syntax "
+            "(a letter or _, then letters, digits or _)\n",
+        ),
+    ],
+    ids=["zero-polynomial", "empty-variable"],
+)
+def test_cli_pic_complement_names_the_real_problem(capsys, argv, message):
+    assert main(["pic-complement", *argv]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_cli_pic_complement_rejects_expansions_over_the_budget(capsys):
     for text in ("(x+1)^2000", "(x+y+1)^200"):
         start = time.perf_counter()

@@ -171,3 +171,15 @@ def test_hypersurface_input_validation():
         HypersurfaceComplementInput((4, 6), ("x", "y"), Poly.zero())
     with pytest.raises(ValueError):
         HypersurfaceComplementInput((4, 6), ("x", "y"), Poly.variable("z"))
+
+
+def test_hypersurface_input_names_the_real_problem():
+    # The zero polynomial has no variables, so a count check made first
+    # would blame the variables instead.
+    with pytest.raises(ValueError, match="must be nonzero"):
+        HypersurfaceComplementInput((2,), (), Poly.zero())
+    for names in (("x", ""), ("x", "2y"), ("x", "a b"), ("x", "y^2"), ("x", 1)):
+        with pytest.raises(ValueError, match="is not a name of the polynomial syntax"):
+            HypersurfaceComplementInput((1, 1), names, Poly.variable("x"))
+    accepted = HypersurfaceComplementInput((1, 1), ("x", "_y2"), Poly.variable("x"))
+    assert pic_complement(accepted).group == AbelianGroupShape.trivial()
