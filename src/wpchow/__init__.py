@@ -21,6 +21,7 @@ from .blowup import (
     BlowupData,
     MODULI_AMBIENT,
     MODULI_BLOWUP,
+    MODULI_RESTRICTION,
     check_split_assembly,
     cusp_complement_chow,
     cusp_locus_class,
@@ -104,6 +105,7 @@ __all__ = [
     "IntermediateCoeffs",
     "MODULI_AMBIENT",
     "MODULI_BLOWUP",
+    "MODULI_RESTRICTION",
     "MarkedCurveCoeffs",
     "Monomial",
     "Mu2FixedPoint",

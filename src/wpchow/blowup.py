@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from types import MappingProxyType
 from typing import Sequence
 
 from ._record import frozen_record
@@ -68,6 +69,7 @@ __all__ = [
     "BlowupData",
     "MODULI_AMBIENT",
     "MODULI_BLOWUP",
+    "MODULI_RESTRICTION",
     "check_split_assembly",
     "cusp_complement_chow",
     "cusp_locus_class",
@@ -166,6 +168,9 @@ def exceptional_selfintersection(data: BlowupData) -> GradedElement:
 
 MODULI_AMBIENT = WeightedProjectiveStack((2, 3, 4))
 MODULI_BLOWUP = BlowupData(4, 6)
+# The restriction to the open moduli: the hyperplane class x goes to t and
+# the boundary class y to 0.
+MODULI_RESTRICTION = MappingProxyType({"x": "t", "y": 0})
 
 
 def cusp_locus_class() -> GradedElement:
@@ -321,8 +326,9 @@ def m12_open_chow(bound: int = 8) -> GradedPresentation:
     the nodal fiber: the curve class d*t, where d = 12 is the order of
     the Picard group of the discriminant complement, and the class 12*t^2
     of each of the two mu_2-fixed points.  The result is checked against
-    Z[t]/(d t) with :func:`same_ideal`, in every degree; ``bound`` no
-    longer limits the check and is kept for callers that pass it.
+    Z[t]/(d t) with :func:`same_ideal`, in every degree, so ``bound`` is
+    unused; it stays because the benchmark worker (``perfbench/worker.py``)
+    passes it.
     """
     u_ring = cusp_complement_chow()
     degree = pic_complement(discriminant_hypersurface()).character_weight

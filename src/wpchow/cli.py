@@ -20,14 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .blowup import (
-    AssemblyMismatchError,
-    BlowupData,
-    exceptional_selfintersection,
-    invariant_ring_check,
-    m12_open_chow,
-    m12bar_chow,
-)
+from .blowup import BlowupData, exceptional_selfintersection, invariant_ring_check
 from .curves import (
     IntermediateCoeffs,
     MarkedCurveCoeffs,
@@ -39,9 +32,9 @@ from .curves import (
     mu2_fixed_points,
     to_short_form,
 )
-from .graded import graded_piece, hom_check
+from .graded import graded_piece
 from .poly import parse_poly
-from .report import build_report
+from .report import SharedValues, build_report
 from .version import __version__
 from .wps import (
     HypersurfaceComplementInput,
@@ -128,17 +121,13 @@ def _cmd_blowup(args) -> int:
     print(f"invariant ring check up to total degree {args.invariant_bound}: "
           f"{'pass' if ok else 'FAIL'}")
     if (data.w1, data.w2) == (4, 6):
-        compact = m12bar_chow(args.max_degree)
-        open_part = m12_open_chow(args.max_degree)
-        # The boundary class y restricts to 0, the hyperplane class x to t.
-        images = {"x": "t", "y": 0}
-        if not hom_check(compact, open_part, images):
-            raise AssemblyMismatchError("restriction images do not kill the relations")
+        moduli = SharedValues(args.max_degree)
+        images = moduli.verified_restriction()
         print()
         print("moduli assembly (blow-up of the cusp of P(2, 3, 4)):")
-        print(f"  compactified 2-pointed moduli: {compact.render()}")
-        _print_pieces(compact, args.max_degree)
-        print(f"  open 2-pointed moduli: {open_part.render()}")
+        print(f"  compactified 2-pointed moduli: {moduli.m12bar.render()}")
+        _print_pieces(moduli.m12bar, args.max_degree)
+        print(f"  open 2-pointed moduli: {moduli.m12open.render()}")
         print(f"    degreewise equal to Z[t]/(12*t) up to degree {args.max_degree}")
         image_text = ", ".join(f"{name} -> {image}" for name, image in images.items())
         print(f"  restriction map verified: {image_text}")

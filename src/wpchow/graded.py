@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from ._record import frozen_record
 from .intlinalg import AbelianGroupShape, cokernel, solve_integer
 from .poly import (
+    _IDENTIFIER,
     Monomial,
     Poly,
     parse_poly,
@@ -67,6 +68,8 @@ class GradedPresentation:
     def __post_init__(self):
         seen = set()
         for name, degree in self.generators:
+            if not isinstance(name, str) or not _IDENTIFIER.fullmatch(name):
+                raise ValueError(f"generator name {name!r} is not an identifier")
             if not isinstance(degree, int) or degree < 1:
                 raise ValueError(f"generator {name!r} must have a positive integer degree")
             if name in seen:

@@ -48,6 +48,12 @@ def test_presentation_validation():
         GradedPresentation.make([("x", 1)], ["1/2*x"])
     with pytest.raises(ValueError):
         GradedPresentation.make([("x", 1), ("x", 2)], [])
+    with pytest.raises(ValueError, match="generator name '' is not an identifier"):
+        GradedPresentation.make([("", 1), ("2x", 1)], [])
+    with pytest.raises(ValueError, match="generator name 'a b' is not an identifier"):
+        GradedPresentation.from_json_dict(
+            {"generators": [{"name": "a b", "degree": 1}], "relations": []}
+        )
 
 
 def test_monomial_basis_order():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from wpchow import VerificationReport, build_report, cli
+from wpchow import AssemblyMismatchError, VerificationReport, build_report, cli
 from wpchow.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,7 +54,9 @@ def test_report_item_status_matches_strings(report):
         assert item.status == ("pass" if item.expected == item.actual else "fail")
 
 
-def test_report_json_roundtrip(report):
+@pytest.mark.parametrize("fixture", ["report", "self_test_report"])
+def test_report_json_roundtrip(fixture, request):
+    report = request.getfixturevalue(fixture)
     text = report.render_json()
     parsed = VerificationReport.parse_json(text)
     assert parsed == report
@@ -101,6 +103,30 @@ def test_disc_weighted_degree_fails_under_another_grading(monkeypatch):
     assert by_id["disc-weighted-degree"].status == "fail"
     assert by_id["disc-weighted-degree"].actual == "24"
     assert by_id["pic-complement-disc"].status == "pass"
+
+
+def test_report_and_cli_read_one_restriction_map(monkeypatch):
+    # The report's item and the CLI's moduli section both check the shared
+    # map, so breaking it fails the one and stops the other.
+    monkeypatch.setattr("wpchow.report.MODULI_RESTRICTION", {"x": "t", "y": "t"})
+    by_id = {item.id: item for item in build_report(bound=4).items}
+    assert by_id["restriction-hom"].status == "fail"
+    with pytest.raises(AssemblyMismatchError, match="restriction images"):
+        main(["blowup", "4", "6"])
+
+
+def test_importing_the_report_computes_nothing():
+    # A report op is mostly cold start: the identity table must not compute
+    # any of its values when the module is imported.
+    probe = (
+        "import wpchow.report\n"
+        "from wpchow import blowup, graded\n"
+        "print(graded._graded_piece_cached.cache_info().currsize,"
+        " blowup.cusp_complement_chow.cache_info().currsize)"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [b"0", b"0"]
 
 
 def test_expected_headline_values(report):
