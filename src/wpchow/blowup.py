@@ -43,7 +43,7 @@ from types import MappingProxyType
 from typing import Sequence
 
 from ._record import frozen_record
-from .curves import discriminant_polynomial
+from .curves import coordinate_grading, discriminant_polynomial
 from .graded import (
     GradedElement,
     GradedPresentation,
@@ -191,9 +191,10 @@ def cusp_complement_chow() -> GradedPresentation:
 
 def discriminant_hypersurface() -> HypersurfaceComplementInput:
     """The closure of the nodal locus, cut out by the discriminant."""
+    grading = coordinate_grading()
     return HypersurfaceComplementInput(
-        weights=(2, 3, 4),
-        variables=("a2", "a3", "a4"),
+        weights=tuple(grading.values()),
+        variables=tuple(grading),
         polynomial=discriminant_polynomial(),
     )
 

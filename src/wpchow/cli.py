@@ -20,7 +20,12 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .blowup import BlowupData, exceptional_selfintersection, invariant_ring_check
+from .blowup import (
+    AssemblyMismatchError,
+    BlowupData,
+    exceptional_selfintersection,
+    invariant_ring_check,
+)
 from .curves import (
     IntermediateCoeffs,
     MarkedCurveCoeffs,
@@ -122,7 +127,11 @@ def _cmd_blowup(args) -> int:
           f"{'pass' if ok else 'FAIL'}")
     if (data.w1, data.w2) == (4, 6):
         moduli = SharedValues(args.max_degree)
-        images = moduli.verified_restriction()
+        try:
+            images = moduli.verified_restriction()
+        except AssemblyMismatchError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print()
         print("moduli assembly (blow-up of the cusp of P(2, 3, 4)):")
         print(f"  compactified 2-pointed moduli: {moduli.m12bar.render()}")

@@ -15,6 +15,9 @@ alpha4 = a4 - a2^2/3 and the coefficient map
 
     (alpha2, alpha3, alpha4) -> (alpha4, alpha3^2 - alpha2^3 - alpha2*alpha4).
 
+The maps a -> alpha -> beta and the discriminant are each written once,
+for ``Fraction``s and ``Poly``s alike, so the symbolic identities check them.
+
 Two marked cubics are isomorphic exactly when their coefficients differ
 by the weighted scaling (a2, a3, a4) -> (l^2*a2, l^3*a3, l^4*a4); the
 isomorphism search here is over Q, so ``None`` does not rule out an
@@ -134,14 +137,16 @@ def marked_equation() -> Poly:
     return y**2 * z + a3 * y * z**2 - x**3 - a2 * x**2 * z - a4 * x * z**2
 
 
-def _beta_polynomials() -> tuple[Poly, Poly]:
-    a2, a3, a4 = (Poly.variable(v) for v in ("a2", "a3", "a4"))
-    alpha2 = Fraction(1, 3) * a2
-    alpha3 = Fraction(1, 2) * a3
-    alpha4 = a4 - Fraction(1, 3) * a2**2
-    beta4 = alpha4
-    beta6 = alpha3**2 - alpha2**3 - alpha2 * alpha4
-    return beta4, beta6
+def _alpha_map(a2, a3, a4):
+    return Fraction(1, 3) * a2, Fraction(1, 2) * a3, a4 - Fraction(1, 3) * a2**2
+
+
+def _coefficient_map(alpha2, alpha3, alpha4):
+    return alpha4, alpha3**2 - alpha2**3 - alpha2 * alpha4
+
+
+def _discriminant(beta4, beta6):
+    return 4 * beta4**3 + 27 * beta6**2
 
 
 @lru_cache(maxsize=1)
@@ -155,18 +160,15 @@ def weierstrass_substitution_residual() -> Poly:
 
         Y^2*Z - X^3 - beta4*X*Z^2 - beta6*Z^3
 
-    with beta4 = alpha4 and beta6 = alpha3^2 - alpha2^3 - alpha2*alpha4.
-    The result is identically zero; callers may assert on it.
+    with the shifts and (beta4, beta6) taken from the alpha map and the
+    coefficient map that :func:`to_short_form` evaluates.  The result is
+    identically zero; callers may assert on it.
     """
-    a2, a3 = Poly.variable("a2"), Poly.variable("a3")
+    alpha = _alpha_map(*(Poly.variable(v) for v in ("a2", "a3", "a4")))
     cap_x, cap_y, cap_z = (Poly.variable(v) for v in ("X", "Y", "Z"))
-    shift = {
-        "x": cap_x - Fraction(1, 3) * a2 * cap_z,
-        "y": cap_y - Fraction(1, 2) * a3 * cap_z,
-        "z": cap_z,
-    }
+    shift = {"x": cap_x - alpha[0] * cap_z, "y": cap_y - alpha[1] * cap_z, "z": cap_z}
     transformed = substitute(marked_equation(), shift)
-    beta4, beta6 = _beta_polynomials()
+    beta4, beta6 = _coefficient_map(*alpha)
     target = cap_y**2 * cap_z - cap_x**3 - beta4 * cap_x * cap_z**2 - beta6 * cap_z**3
     return transformed - target
 
@@ -175,16 +177,12 @@ def to_short_form(coeffs: MarkedCurveCoeffs) -> tuple[IntermediateCoeffs, ShortW
     """Complete the marked cubic to short Weierstrass form.
 
     Returns the intermediate coordinates alpha and the short coefficients
-    beta.  The generic substitution identity backing the formulas is
-    verified symbolically (once, cached).
+    beta.  The substitution identity is verified symbolically on these
+    formulas (once, cached), so a wrong one raises ``AssertionError``.
     """
     if not weierstrass_substitution_residual().is_zero:
         raise AssertionError("short-form substitution identity failed symbolically")
-    alpha = IntermediateCoeffs(
-        alpha2=coeffs.a2 / 3,
-        alpha3=coeffs.a3 / 2,
-        alpha4=coeffs.a4 - coeffs.a2**2 / 3,
-    )
+    alpha = IntermediateCoeffs(*_alpha_map(coeffs.a2, coeffs.a3, coeffs.a4))
     return alpha, short_weierstrass_coeffs(alpha)
 
 
@@ -195,10 +193,7 @@ def short_weierstrass_coeffs(alpha: IntermediateCoeffs) -> ShortWeierstrass:
     cuspidal locus (the weighted line through (1, 1, 0)) to (0, 0), where
     the induced map of projective stacks is undefined.
     """
-    return ShortWeierstrass(
-        beta4=alpha.alpha4,
-        beta6=alpha.alpha3**2 - alpha.alpha2**3 - alpha.alpha2 * alpha.alpha4,
-    )
+    return ShortWeierstrass(*_coefficient_map(alpha.alpha2, alpha.alpha3, alpha.alpha4))
 
 
 def discriminant(alpha: IntermediateCoeffs) -> Fraction:
@@ -207,20 +202,18 @@ def discriminant(alpha: IntermediateCoeffs) -> Fraction:
     Vanishes exactly on the singular fibers; equals the short-form
     discriminant of ``short_weierstrass_coeffs(alpha)``.
     """
-    beta = short_weierstrass_coeffs(alpha)
-    return short_discriminant(beta)
+    return short_discriminant(short_weierstrass_coeffs(alpha))
 
 
 def short_discriminant(short: ShortWeierstrass) -> Fraction:
-    return 4 * short.beta4**3 + 27 * short.beta6**2
+    return _discriminant(short.beta4, short.beta6)
 
 
 @lru_cache(maxsize=1)
 def discriminant_polynomial() -> Poly:
-    """The discriminant as a polynomial in a2, a3, a4; homogeneous of
-    degree 12 under :func:`coordinate_grading`."""
-    a2, a3, a4 = (Poly.variable(v) for v in ("a2", "a3", "a4"))
-    return 4 * a4**3 + 27 * (a3**2 - a2**3 - a2 * a4) ** 2
+    """:func:`discriminant` as a polynomial in a2, a3, a4 standing for the
+    intermediate coordinates; homogeneous of degree 12 under :func:`coordinate_grading`."""
+    return _discriminant(*_coefficient_map(*(Poly.variable(v) for v in ("a2", "a3", "a4"))))
 
 
 def j_invariant(short: ShortWeierstrass) -> Fraction:
@@ -292,11 +285,8 @@ def iso_test(
     out an isomorphism over an extension field.
     """
     ratios: dict[int, Fraction] = {}
-    for weight, left, right in (
-        (2, first.a2, second.a2),
-        (3, first.a3, second.a3),
-        (4, first.a4, second.a4),
-    ):
+    for name, weight in coordinate_grading().items():
+        left, right = getattr(first, name), getattr(second, name)
         if (left == 0) != (right == 0):
             return None
         if left != 0:

@@ -105,14 +105,35 @@ def test_disc_weighted_degree_fails_under_another_grading(monkeypatch):
     assert by_id["pic-complement-disc"].status == "pass"
 
 
-def test_report_and_cli_read_one_restriction_map(monkeypatch):
+def test_report_and_cli_read_one_restriction_map(monkeypatch, capsys):
     # The report's item and the CLI's moduli section both check the shared
     # map, so breaking it fails the one and stops the other.
     monkeypatch.setattr("wpchow.report.MODULI_RESTRICTION", {"x": "t", "y": "t"})
     by_id = {item.id: item for item in build_report(bound=4).items}
     assert by_id["restriction-hom"].status == "fail"
-    with pytest.raises(AssemblyMismatchError, match="restriction images"):
-        main(["blowup", "4", "6"])
+    assert main(["blowup", "4", "6"]) == 1
+    assert "error: restriction images do not kill the relations" in capsys.readouterr().err
+
+
+def test_a_failed_moduli_assembly_is_a_fail_not_a_traceback(monkeypatch, capsys):
+    def mismatch(presentation, bound=8):
+        raise AssemblyMismatchError("degree 2: planted mismatch")
+
+    monkeypatch.setattr("wpchow.blowup.check_split_assembly", mismatch)
+    by_id = {item.id: item for item in build_report(bound=4).items}
+    for item_id in ("m12bar-ring", "m12bar-pieces", "phi-kills-relations", "restriction-hom"):
+        assert by_id[item_id].status == "fail"
+        assert by_id[item_id].actual == "degree 2: planted mismatch"
+    assert by_id["chow-ring-234"].status == "pass"
+    assert main(["verify-paper", "--bound", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL phi-kills-relations" in out
+    assert "actual:   degree 2: planted mismatch" in out
+    assert main(["blowup", "4", "6"]) == 1
+    captured = capsys.readouterr()
+    assert "invariant ring check" in captured.out
+    assert "moduli assembly" not in captured.out
+    assert captured.err == "error: degree 2: planted mismatch\n"
 
 
 def test_importing_the_report_computes_nothing():
