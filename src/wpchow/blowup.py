@@ -166,7 +166,7 @@ def exceptional_selfintersection(data: BlowupData) -> GradedElement:
 
 # -- the moduli assembly ---------------------------------------------------
 
-MODULI_AMBIENT = WeightedProjectiveStack((2, 3, 4))
+MODULI_AMBIENT = WeightedProjectiveStack(tuple(coordinate_grading().values()))
 MODULI_BLOWUP = BlowupData(4, 6)
 # The restriction to the open moduli: the hyperplane class x goes to t and
 # the boundary class y to 0.

@@ -20,11 +20,13 @@ with many repeated rows.  So the repeats are dropped and the remainder
 is split into blocks that share no column (the sparse elimination
 strategy of Dumas, Saunders and Villard, 2001).  A block of one row
 contributes the gcd of its entries; any other is diagonalized by
-alternating row and column Hermite forms, once per distinct block:
-blocks that are equal after renumbering their columns in order share
-one diagonal.  Those are mostly monomial translates of one relation
-pattern (the degree-8 piece of a four-generator ring has 14 blocks of
-more than one row, of only 4 kinds).  After each Hermite pass a pivot
+alternating row and column Hermite forms, once per block pattern per
+process: blocks that are equal after renumbering their columns in order
+have one pattern, and its diagonal is kept in a bounded cache, since the
+same patterns recur from piece to piece.  Those blocks are mostly
+monomial translates of one another (the degree-8 piece of a
+four-generator ring has 14 blocks of more than one row, of only 4
+patterns).  After each Hermite pass a pivot
 equal to 1 has zeros below it and, reduced into [0, 1), above it, so
 its row splits off as a factor 1 before the rest is transposed (over
 1,300 graded pieces of the benchmark, 9,411 passes become 8,319).  The
@@ -46,6 +48,7 @@ reached 149,266 bits.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from math import gcd
 from operator import index
@@ -138,34 +141,45 @@ def _sparse_invariant_factors(rows: list[dict[int, int]]) -> list[int]:
     """Invariant factors of the lattice spanned by ``{column: value}`` rows.
 
     The rows are consumed.  Blocks with the same pattern (see
-    :func:`_pattern`) share one diagonalization.
+    :func:`_pattern`) share one diagonalization per process, held by
+    :func:`_pattern_diagonal`.
     """
     units = _eliminate_unit_pivots(rows)
     diagonal = []
-    diagonals: dict[frozenset, list[int]] = {}
     for block in _blocks(rows):
         if len(block) == 1:
             diagonal.append(gcd(*block[0].values()))
-            continue
-        pattern = _pattern(block)
-        if pattern not in diagonals:
-            diagonals[pattern] = _diagonal(block)
-        diagonal += diagonals[pattern]
+        else:
+            diagonal += _pattern_diagonal(_pattern(block))
     return [1] * units + _divisibility_chain(diagonal)
 
 
-def _pattern(block: list[dict[int, int]]) -> frozenset:
+@lru_cache(maxsize=512)
+def _pattern_diagonal(pattern: tuple) -> tuple[int, ...]:
+    """:func:`_diagonal` of the block that ``pattern`` describes.
+
+    The rows are rebuilt from the pattern itself, so the stored diagonal
+    is a function of its key alone.
+    """
+    return tuple(_diagonal([dict(row) for row in pattern]))
+
+
+def _pattern(block: list[dict[int, int]]) -> tuple:
     """The rows of a block with its columns renumbered 0, 1, ... in order.
 
-    Two blocks with the same pattern are the same matrix up to a
-    permutation of their columns, so they have the same invariant
-    factors.  The blocks of a relation matrix are mostly monomial
-    translates of one another: multiplying by a monomial keeps the
-    relative order of the basis columns, so translates share a pattern.
+    Each row is its ``(column, value)`` pairs in column order, and the
+    rows are sorted, so the pattern does not depend on the order in which
+    rows or entries come.  Two blocks with the same pattern are the same
+    matrix up to a permutation of their rows and columns, so they have
+    the same invariant factors.  The blocks of a relation matrix are
+    mostly monomial translates of one another: multiplying by a monomial
+    keeps the relative order of the basis columns, so translates share a
+    pattern.
     """
     columns = sorted({j for row in block for j in row})
     rank = dict(zip(columns, range(len(columns))))
-    return frozenset(frozenset((rank[j], value) for j, value in row.items()) for row in block)
+    rows = (tuple(sorted([(rank[j], value) for j, value in row.items()])) for row in block)
+    return tuple(sorted(rows))
 
 
 def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> int:

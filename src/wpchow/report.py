@@ -165,13 +165,29 @@ class SharedValues:
     ring234 = cached_property(lambda self: chow_ring(MODULI_AMBIENT))
     ring46 = cached_property(lambda self: chow_ring(MODULI_BLOWUP.exceptional))
     mu2_point = cached_property(lambda self: point_class(MODULI_AMBIENT, 1))
-    m12bar = cached_property(lambda self: m12bar_chow(self.bound))
     m12open = cached_property(lambda self: m12_open_chow())
     pic = cached_property(lambda self: pic_complement(discriminant_hypersurface()))
     phi_images = cached_property(lambda self: phi_degree2_images())
     restriction_holds = cached_property(
         lambda self: hom_check(self.m12bar, self.m12open, MODULI_RESTRICTION)
     )
+
+    @cached_property
+    def _m12bar_outcome(self) -> Union[GradedPresentation, AssemblyMismatchError]:
+        try:
+            return m12bar_chow(self.bound)
+        except AssemblyMismatchError as exc:
+            return exc
+
+    @property
+    def m12bar(self) -> GradedPresentation:
+        """``m12bar_chow(bound)``.  A failed assembly is kept as well and
+        raised to every reader: ``cached_property`` keeps nothing when its
+        getter raises."""
+        outcome = self._m12bar_outcome
+        if isinstance(outcome, AssemblyMismatchError):
+            raise outcome
+        return outcome
 
     def verified_restriction(self) -> Mapping:
         """``MODULI_RESTRICTION``, raising :class:`AssemblyMismatchError`

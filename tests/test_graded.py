@@ -501,6 +501,7 @@ def test_the_sheared_degree_6_piece_takes_three_hermite_passes(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "_hermite", count)
     _graded_piece_cached.cache_clear()
+    intlinalg._pattern_diagonal.cache_clear()
     assert graded_piece(_sheared(ROADMAP, {"c": "c + a"}), 6) == ROADMAP_PIECE
     assert passes[0] == 30
     assert len(passes) <= 3

@@ -446,6 +446,7 @@ def test_translated_blocks_share_one_diagonal(monkeypatch):
         return diagonal_of(rows)
 
     monkeypatch.setattr(intlinalg, "_diagonal", count_diagonals)
+    intlinalg._pattern_diagonal.cache_clear()
     base = [[2, 4], [6, 8]]  # factors 2, 4
     other = [[2, 4], [6, 10]]  # the same support, one value apart: 2, 2
     swapped = [row[::-1] for row in base]  # base with its columns swapped
@@ -464,6 +465,34 @@ def test_translated_blocks_share_one_diagonal(monkeypatch):
     # The translate reuses the first block's diagonal; the swapped copy and
     # the block one value apart are diagonalized on their own.
     assert len(calls) == 3
+
+
+def test_blocks_with_one_support_keep_their_own_diagonals():
+    # Neither block has a unit entry, so each reaches the pattern cache
+    # whole.  Their supports agree and their values do not: a key that
+    # forgot the values would hand the second block the first one's
+    # factors, in whichever order they come.
+    first = [[2, 4], [4, 2]]  # Z/2 x Z/6
+    second = [[2, 4], [4, 6]]  # Z/2 x Z/2
+    assert invariant_factors_via_minor_gcds(first) == [2, 6]
+    assert invariant_factors_via_minor_gcds(second) == [2, 2]
+    for order in ((first, second), (second, first)):
+        intlinalg._pattern_diagonal.cache_clear()
+        for matrix in order:
+            assert invariant_factors(matrix) == invariant_factors_via_minor_gcds(matrix)
+        assert intlinalg._pattern_diagonal.cache_info().misses == 2
+
+
+def test_a_block_with_relabelled_columns_is_a_cache_hit():
+    # The same block on columns 0 and 2 and on columns 1 and 2: renumbering
+    # the columns in order makes the two one pattern, diagonalized once.
+    intlinalg._pattern_diagonal.cache_clear()
+    shape = cokernel([[2, 0, 4], [4, 0, 2]], 3)
+    assert shape == AbelianGroupShape(1, (2, 6))
+    hits = intlinalg._pattern_diagonal.cache_info().hits
+    assert cokernel([[0, 2, 4], [0, 4, 2]], 3) == shape
+    assert intlinalg._pattern_diagonal.cache_info().hits == hits + 1
+    assert intlinalg._pattern_diagonal.cache_info().misses == 1
 
 
 def test_duplicate_and_zero_rows_leave_the_factors_unchanged():
