@@ -50,12 +50,14 @@ from .wps import (
 
 __all__ = ["main", "run"]
 
-# The invariant-ring check enumerates the degree box, quadratic in the
-# bound: ~0.2 s at 300, ~0.8 s at 600 and ~3.4 s at 1200.
+# The invariant-ring check enumerates the degree box, about 5x the time per
+# doubling of the bound: ~0.03 s at 300, ~0.2 s at 600 and ~1 s at 1200.
+# (These and the figures below are in-process times on a 2-CPU Linux
+# container, Python 3.11.)
 MAX_INVARIANT_BOUND = 600
 # verify-paper --bound and the --max-degree of chow and blowup compute graded
-# pieces up to that degree, at a cost about cubic in it: ~1.2 s at 200 for
-# verify-paper and blowup 4 6, over 10 s at 400.
+# pieces up to that degree, also about 5x the time per doubling: verify-paper
+# takes ~0.4 s at 200 and ~2.1 s at 400, blowup 4 6 ~0.2 s at 200.
 MAX_DEGREE = 200
 
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._record import frozen_record
-from .intlinalg import AbelianGroupShape, cokernel, solve_integer
+from .intlinalg import AbelianGroupShape, _sparse_cokernel, solve_integer
 from .poly import (
     _IDENTIFIER,
     Monomial,
@@ -70,7 +70,7 @@ class GradedPresentation:
         for name, degree in self.generators:
             if not isinstance(name, str) or not _IDENTIFIER.fullmatch(name):
                 raise ValueError(f"generator name {name!r} is not an identifier")
-            if not isinstance(degree, int) or degree < 1:
+            if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
                 raise ValueError(f"generator {name!r} must have a positive integer degree")
             if name in seen:
                 raise ValueError(f"duplicate generator {name!r}")
@@ -100,7 +100,7 @@ class GradedPresentation:
         relations: Iterable[Union[Poly, str]] = (),
     ) -> "GradedPresentation":
         return cls(
-            tuple((str(n), int(d)) for n, d in generators),
+            tuple((n, d) for n, d in generators),
             tuple(_coerce_relation(r) for r in relations),
         )
 
@@ -128,7 +128,7 @@ class GradedPresentation:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GradedPresentation":
-        generators = tuple((g["name"], int(g["degree"])) for g in data["generators"])
+        generators = tuple((g["name"], g["degree"]) for g in data["generators"])
         relations = tuple(parse_poly(text) for text in data["relations"])
         return cls(generators, relations)
 
@@ -196,33 +196,47 @@ def _shifts(degrees: tuple[int, ...], degree: int, rel_degree: int) -> tuple[int
     return tuple(sum(map(mul, vector, powers)) for vector in vectors)
 
 
-def _relation_rows(
+def _lifts(
     presentation: GradedPresentation, degree: int
-) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Degree-``degree`` exponent basis and the relation lattice rows on it.
+) -> Iterator[tuple[list[tuple[int, int]], tuple[int, ...]]]:
+    """Each relation of degree <= ``degree``: its terms as (packed key,
+    coefficient) pairs, and the packed keys of the monomials m with
+    deg(m * r) == degree.
 
-    The lattice is spanned by all products m * r with r a relation and m a
-    monomial such that deg(m * r) == degree.  Exponent vectors follow the
-    sorted generator names, in the order of :func:`monomials_of_degree`.
-    No exponent exceeds ``degree``, so packing a vector as in
-    :func:`_basis` turns multiplying by m into adding its key: each row is
-    a few index lookups, not a ``Poly`` product.  The basis, its index and
-    the multipliers' keys depend only on the sorted generator degrees and
-    the two degrees, so they come from caches shared by every
-    presentation; the basis is handed out as a fresh list.
+    The degree-``degree`` relation lattice is spanned by these products
+    m * r, one row each.  No exponent exceeds ``degree``, so packing a
+    vector as in :func:`_basis` turns multiplying by m into adding its
+    key: the row of m * r holds each coefficient in column
+    ``index[shift + key]``, with ``shift`` the key of m and ``index`` the
+    packed index of :func:`_basis`.  Each entry is one index lookup, not
+    a ``Poly`` product, and each coefficient is the layout's ``int``.
     """
     _, degrees, relations = presentation._layout
-    basis, index, powers = _basis(degrees, degree)
-    rows: list[list[int]] = []
+    powers = _basis(degrees, degree)[2]
     for rel_degree, terms in relations:
-        if rel_degree > degree:
-            continue
-        packed = [(sum(map(mul, vector, powers)), coeff) for vector, coeff in terms]
-        for shift in _shifts(degrees, degree, rel_degree):
-            row = [0] * len(basis)
-            for key, coeff in packed:
-                row[index[shift + key]] = coeff
-            rows.append(row)
+        if rel_degree <= degree:
+            packed = [(sum(map(mul, vector, powers)), coeff) for vector, coeff in terms]
+            yield packed, _shifts(degrees, degree, rel_degree)
+
+
+def _relation_rows(
+    presentation: GradedPresentation, degree: int
+) -> tuple[list[tuple[int, ...]], list[dict[int, int]]]:
+    """Degree-``degree`` exponent basis and the relation lattice rows on
+    it, one ``{column: value}`` row per product of :func:`_lifts`.
+
+    Exponent vectors follow the sorted generator names, in the order of
+    :func:`monomials_of_degree`.  The basis, its index and the
+    multipliers' keys depend only on the sorted generator degrees and the
+    two degrees, so they come from caches shared by every presentation;
+    the basis is handed out as a fresh list.
+    """
+    basis, index, _ = _basis(presentation._layout[1], degree)
+    rows = [
+        {index[shift + key]: coeff for key, coeff in packed}
+        for packed, shifts in _lifts(presentation, degree)
+        for shift in shifts
+    ]
     return list(basis), rows
 
 
@@ -234,7 +248,7 @@ def _exponents(mono: Monomial, names: Sequence[str]) -> tuple[int, ...]:
 @lru_cache(maxsize=256)
 def _graded_piece_cached(presentation: GradedPresentation, degree: int) -> AbelianGroupShape:
     basis, rows = _relation_rows(presentation, degree)
-    return cokernel(rows, len(basis))
+    return _sparse_cokernel(rows, len(basis))
 
 
 def graded_piece(presentation: GradedPresentation, degree: int) -> AbelianGroupShape:
@@ -315,8 +329,14 @@ def is_zero(element: GradedElement) -> bool:
     if element.value.is_zero:
         return True
     names, degrees, _ = element.ambient._layout
-    _, rows = _relation_rows(element.ambient, element.degree)
     _, index, powers = _basis(degrees, element.degree)
+    rows = []
+    for packed, shifts in _lifts(element.ambient, element.degree):
+        for shift in shifts:
+            row = [0] * len(index)
+            for key, coeff in packed:
+                row[index[shift + key]] = coeff
+            rows.append(row)
     power = dict(zip(names, powers))
     vector = [0] * len(index)
     for mono, coeff in element.value.terms():

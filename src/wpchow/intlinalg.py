@@ -2,7 +2,10 @@
 
 Everything here runs over Python's arbitrary-precision integers.  The
 public functions take and return plain lists of lists in row-major order;
-inside, rows are held sparsely as ``{column: value}``.
+inside, rows are held sparsely as ``{column: value}``.  The graded pieces
+of :mod:`wpchow.graded` hand their relation rows over in that sparse form,
+to :func:`_sparse_cokernel`, which skips the dense-input checks of
+:func:`cokernel`.
 
 Entries are read through ``operator.index``: a ``Fraction`` or ``float``
 raises ``TypeError`` rather than being truncated.
@@ -508,6 +511,15 @@ def cokernel(rows: Iterable[Sequence[int]], ambient_rank: int) -> AbelianGroupSh
     lattice = list(rows)
     if any(len(row) != ambient_rank for row in lattice):
         raise ValueError("every row must have length equal to the ambient rank")
-    factors = _sparse_invariant_factors(_sparse(lattice)[0])
+    return _sparse_cokernel(_sparse(lattice)[0], ambient_rank)
+
+
+def _sparse_cokernel(rows: list[dict[int, int]], ambient_rank: int) -> AbelianGroupShape:
+    """:func:`cokernel` of ``{column: value}`` rows, which are consumed.
+
+    Nothing is checked: every value must be a nonzero ``int`` and every
+    column in ``range(ambient_rank)``.
+    """
+    factors = _sparse_invariant_factors(rows)
     torsion = tuple(d for d in factors if d >= 2)
     return AbelianGroupShape(ambient_rank - len(factors), torsion)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from operator import index
 from typing import Callable, Mapping, Union
 
 from ._record import frozen_record
@@ -116,14 +117,14 @@ class VerificationReport:
             ReportItem(*(entry[field] for field in _ITEM_FIELDS)) for entry in data["items"]
         )
         report = cls(
-            schema=int(data["schema"]),
+            schema=index(data["schema"]),
             version=data["version"],
-            bound=int(data["bound"]),
+            bound=index(data["bound"]),
             items=items,
         )
         summary = data.get("summary")
         if summary is not None and (
-            int(summary["pass"]) != report.passed or int(summary["fail"]) != report.failed
+            index(summary["pass"]) != report.passed or index(summary["fail"]) != report.failed
         ):
             raise ValueError("summary counts are inconsistent with the items")
         return report

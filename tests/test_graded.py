@@ -56,6 +56,28 @@ def test_presentation_validation():
         )
 
 
+def test_presentation_input_is_not_converted():
+    # A degree that is not an int, or a name that is not a str, is refused
+    # as the constructor refuses it, not truncated or rendered.
+    class Name:
+        def __str__(self):
+            return "x"
+
+    with pytest.raises(ValueError, match="'x' must have a positive integer degree"):
+        GradedPresentation.make([("x", 2.7)], ["6*x^2"])
+    with pytest.raises(ValueError, match="is not an identifier"):
+        GradedPresentation.make([(Name(), 1)], [])
+    with pytest.raises(ValueError, match="'x' must have a positive integer degree"):
+        GradedPresentation.make([("x", True)], ["6*x^2"])
+    for degree in (2.7, "2", True):
+        payload = {"generators": [{"name": "x", "degree": degree}], "relations": []}
+        with pytest.raises(ValueError, match="'x' must have a positive integer degree"):
+            GradedPresentation.from_json_dict(payload)
+    assert GradedPresentation.make([["x", 2]], ["6*x^2"]) == GradedPresentation(
+        (("x", 2),), (parse_poly("6*x^2"),)
+    )
+
+
 def test_monomial_basis_order():
     basis = monomials_of_degree((("x", 1), ("y", 1)), 2)
     assert [m.render() for m in basis] == ["x^2", "x*y", "y^2"]
@@ -269,6 +291,22 @@ def _sheared(presentation, images):
     return GradedPresentation(presentation.generators, relations)
 
 
+def _dense_relation_rows(presentation, degree):
+    """The basis and rows of ``_relation_rows``, each ``{column: value}``
+    row written out as a list; every value must be a nonzero int."""
+    basis, rows = _relation_rows(presentation, degree)
+    dense = []
+    for row in rows:
+        assert type(row) is dict
+        assert all(type(value) is int and value for value in row.values())
+        assert all(0 <= column < len(basis) for column in row)
+        line = [0] * len(basis)
+        for column, value in row.items():
+            line[column] = value
+        dense.append(line)
+    return basis, dense
+
+
 def test_relation_rows_match_poly_products():
     presentations = [
         M12BAR,
@@ -286,7 +324,7 @@ def test_relation_rows_match_poly_products():
     ]
     for presentation in presentations:
         for degree in range(13):
-            basis, rows = _relation_rows(presentation, degree)
+            basis, rows = _dense_relation_rows(presentation, degree)
             expected_basis, expected_rows = relation_rows_by_products(
                 presentation.generators, presentation.relations, degree
             )
@@ -306,7 +344,7 @@ def _assert_rows_match_products(presentation, degrees):
             expected[degree] = relation_rows_by_products(
                 presentation.generators, presentation.relations, degree
             )
-        assert _relation_rows(presentation, degree) == expected[degree], degree
+        assert _dense_relation_rows(presentation, degree) == expected[degree], degree
 
 
 def test_relation_rows_from_one_layout_over_many_degrees():
@@ -397,7 +435,7 @@ def test_relation_rows_from_shared_bases_over_interleaved_queries():
             expected[key] = relation_rows_by_products(
                 presentation.generators, presentation.relations, degree
             )
-        assert _relation_rows(presentation, degree) == expected[key], (presentation, degree)
+        assert _dense_relation_rows(presentation, degree) == expected[key], (presentation, degree)
     assert graded._basis.cache_info().hits > 0 and graded._shifts.cache_info().hits > 0
 
 
@@ -512,7 +550,7 @@ def test_relation_matrix_factors_against_sympy():
     from sympy.matrices.normalforms import invariant_factors as sympy_factors
 
     for presentation in (ROADMAP, _sheared(ROADMAP, {"a": "a + c"})):
-        basis, matrix = _relation_rows(presentation, 8)  # 84 x 45
+        basis, matrix = _dense_relation_rows(presentation, 8)  # 84 x 45
         expected = [int(f) for f in sympy_factors(sympy.Matrix(matrix), domain=sympy.ZZ) if f]
         torsion = tuple(f for f in expected if f >= 2)
         assert cokernel(matrix, len(basis)) == AbelianGroupShape(len(basis) - len(expected), torsion)
@@ -534,24 +572,64 @@ def test_large_pieces_finish_in_bounded_time():
         assert piece == ROADMAP_PIECE
 
 
-def test_uncached_graded_piece_hands_dense_rows_to_cokernel(monkeypatch):
-    # The benchmark's tracer reads the matrix sizes, and whether a piece
-    # came from the cache, from this one call; so the rows stay dense lists.
-    calls = []
+def test_uncached_graded_piece_hands_sparse_rows_to_one_elimination(monkeypatch):
+    # The rows go from the layout to the elimination as {column: value}
+    # dicts: no dense list is scanned by intlinalg._sparse, and the public
+    # cokernel, which takes dense rows, is not called.
+    eliminations = []
+    sparse_invariant_factors = intlinalg._sparse_invariant_factors
 
-    def spy(rows, ambient_rank):
-        calls.append((rows, ambient_rank))
-        return cokernel(rows, ambient_rank)
+    def count(rows):
+        eliminations.append([dict(row) for row in rows])  # the rows are consumed
+        return sparse_invariant_factors(rows)
 
-    monkeypatch.setattr("wpchow.graded.cokernel", spy)
+    def refuse(*args):
+        raise AssertionError("dense rows were handed to intlinalg")
+
+    monkeypatch.setattr(intlinalg, "_sparse_invariant_factors", count)
+    monkeypatch.setattr(intlinalg, "_sparse", refuse)
+    monkeypatch.setattr(intlinalg, "cokernel", refuse)
     _graded_piece_cached.cache_clear()
-    basis, _ = _relation_rows(ROADMAP, 8)
+    basis, rows = _relation_rows(ROADMAP, 8)
+    assert len(basis) == 45 and len(rows) == 84
     assert graded_piece(ROADMAP, 8) == ROADMAP_PIECE
-    assert len(calls) == 1
-    rows, ambient_rank = calls[0]
-    assert ambient_rank == len(basis) == 45
-    assert type(rows) is list and len(rows) == 84
-    assert all(type(row) is list and len(row) == len(basis) for row in rows)
-    assert rows == _relation_rows(ROADMAP, 8)[1]
+    assert eliminations == [rows]
     assert graded_piece(ROADMAP, 8) == ROADMAP_PIECE
-    assert len(calls) == 1
+    assert len(eliminations) == 1
+
+
+def _fresh_coefficient_rings(seed):
+    """The ROADMAP and QUAD4 rings with their second and third relations
+    replaced by p*a^2 + q*b^2 and r*a*c, p, q, r drawn from 2..60, and
+    the first of them sheared by a -> a + c."""
+    rng = random.Random(seed)
+    rings = []
+    for presentation in (ROADMAP, QUAD4):
+        p, q, r = (rng.randint(2, 60) for _ in range(3))
+        relations = [presentation.relations[0], f"{p}*a^2 + {q}*b^2", f"{r}*a*c"]
+        rings.append(GradedPresentation.make(presentation.generators, relations))
+    return rings + [_sheared(rings[0], {"a": "a + c"})]
+
+
+def test_pieces_with_fresh_coefficients_against_sympy():
+    # New coefficients give block patterns that the pattern cache has not
+    # seen, so these pieces run the whole elimination: unit pivots, the
+    # split into blocks and their Hermite passes.
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    _graded_piece_cached.cache_clear()
+    intlinalg._pattern_diagonal.cache_clear()
+    for seed in (3, 5):
+        for presentation in _fresh_coefficient_rings(seed):
+            for degree in range(4, 9):
+                basis, rows = relation_rows_by_products(
+                    presentation.generators, presentation.relations, degree
+                )
+                factors = sympy_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+                expected = [int(f) for f in factors if f]
+                torsion = tuple(f for f in expected if f >= 2)
+                assert graded_piece(presentation, degree) == AbelianGroupShape(
+                    len(basis) - len(expected), torsion
+                ), (presentation, degree)
+    assert intlinalg._pattern_diagonal.cache_info().misses > 0

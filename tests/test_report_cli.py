@@ -73,6 +73,24 @@ def test_report_roundtrip_rejects_bad_summary(report):
         VerificationReport.from_json_dict(payload)
 
 
+def test_report_roundtrip_rejects_non_integer_numbers(report):
+    # The numbers are read with operator.index: a bound of 4.9 is refused,
+    # not read back as 4.
+    for path, value in (
+        (("bound",), 4.9),
+        (("schema",), 1.0),
+        (("summary", "pass"), float(report.passed)),
+        (("summary", "fail"), float(report.failed)),
+    ):
+        payload = report.to_json_dict()
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(TypeError):
+            VerificationReport.from_json_dict(payload)
+
+
 def test_report_bound_stability(report):
     four = build_report(bound=4)
     assert [(i.id, i.status) for i in four.items] == [
