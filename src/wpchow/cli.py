@@ -61,22 +61,36 @@ MAX_INVARIANT_BOUND = 600
 MAX_DEGREE = 200
 
 
-def _refuse_long_number(text: str) -> None:
-    """Refuse, without echoing it, a number longer than the interpreter
-    converts (4,300 digits by default), in the words of ``parse_poly``."""
+def _refuse_digits(digits: int) -> None:
+    """Refuse a number of more digits than the interpreter converts (4,300
+    by default; 0 means no limit), in the words of ``parse_poly``."""
     limit = sys.get_int_max_str_digits()
-    digits = max((len(run) for run in re.findall(r"\d+", text.replace("_", ""))), default=0)
     if limit and digits > limit:
         raise argparse.ArgumentTypeError(
             f"a number of {digits} digits, over the limit of {limit}"
         )
 
 
+def _refuse_long_number(text: str) -> None:
+    """Refuse, without echoing it, a text with a run of too many digits."""
+    _refuse_digits(max((len(run) for run in re.findall(r"\d+", text.replace("_", ""))), default=0))
+
+
+# ``Fraction`` reads "1e10000000" by building 10**10000000, which takes
+# seconds (and "1e100000000" minutes), so the digits that a mantissa and
+# its exponent spell out are counted before it is called.
+_EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE][-+]?(\d[\d_]*)\s*")
+
+
 def _fraction(text: str) -> Fraction:
+    _refuse_long_number(text)
+    scientific = _EXPONENT_FORM.fullmatch(text)
+    if scientific:
+        whole, decimals, exponent = (part.replace("_", "") for part in scientific.groups(""))
+        _refuse_digits(len(whole) + len(decimals) + int(exponent))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        _refuse_long_number(text)
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 

@@ -24,6 +24,7 @@ from ._record import frozen_record
 from .intlinalg import AbelianGroupShape, _sparse_cokernel, solve_integer
 from .poly import (
     _IDENTIFIER,
+    InhomogeneousError,
     Monomial,
     Poly,
     parse_poly,
@@ -77,19 +78,39 @@ class GradedPresentation:
             seen.add(name)
         grading = self.grading
         names = sorted(seen)
+        slots = {name: (i, grading[name]) for i, name in enumerate(names)}
         layout = []
         for relation in self.relations:
             if not isinstance(relation, Poly):
                 raise TypeError("relations must be Poly instances")
-            if not set(relation.variables) <= seen:
-                extra = sorted(set(relation.variables) - seen)
-                raise ValueError(f"relation uses unknown generators {extra}")
-            if not relation.has_integer_coefficients():
+            # One pass over the terms; the refusals then come in a fixed
+            # order: unknown generators, then fractions, then inhomogeneity.
+            unknown = set()
+            integral = True
+            degrees = set()
+            terms = []
+            for mono, coeff in relation.terms():
+                vector = [0] * len(names)
+                degree = 0
+                for name, exp in mono.exponents:
+                    slot = slots.get(name)
+                    if slot is None:
+                        unknown.add(name)
+                    else:
+                        vector[slot[0]] = exp
+                        degree += exp * slot[1]
+                numerator, denominator = coeff.as_integer_ratio()
+                integral = integral and denominator == 1
+                degrees.add(degree)
+                terms.append((tuple(vector), numerator))
+            if unknown:
+                raise ValueError(f"relation uses unknown generators {sorted(unknown)}")
+            if not integral:
                 raise ValueError(f"relation {relation} must have integer coefficients")
-            if not relation.is_zero:
-                degree = weighted_degree(relation, grading)  # raises InhomogeneousError
-                terms = relation.terms()
-                layout.append((degree, tuple((_exponents(m, names), int(c)) for m, c in terms)))
+            if len(degrees) > 1:
+                raise InhomogeneousError(degrees)
+            if terms:
+                layout.append((degrees.pop(), tuple(terms)))
         degrees = tuple(grading[name] for name in names)
         object.__setattr__(self, "_layout", (tuple(names), degrees, tuple(layout)))
 
@@ -238,11 +259,6 @@ def _relation_rows(
         for shift in shifts
     ]
     return list(basis), rows
-
-
-def _exponents(mono: Monomial, names: Sequence[str]) -> tuple[int, ...]:
-    powers = dict(mono.exponents)
-    return tuple(powers.get(name, 0) for name in names)
 
 
 @lru_cache(maxsize=256)

@@ -22,6 +22,8 @@ are presented by adding the removed classes as relations.  The Picard
 group of the complement of a weight-d hypersurface in [A^n/Gm] is Z/d,
 assuming the ambient Picard group is Z and the hypersurface is reduced
 and irreducible; those hypotheses are recorded on the result, not checked.
+Only an f that a variable divides is refused (V(f) then contains that
+coordinate hyperplane), unless f is the variable times a constant.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterable, Sequence, Union
 from ._record import frozen_record
 from .graded import GradedElement, GradedPresentation, quotient
 from .intlinalg import AbelianGroupShape
-from .poly import _IDENTIFIER, Poly, weighted_degree
+from .poly import _IDENTIFIER, Monomial, Poly, weighted_degree
 
 __all__ = [
     "CHOW_GENERATOR",
@@ -177,8 +179,20 @@ def pic_complement(data: HypersurfaceComplementInput) -> ComplementPicard:
     The scaling character acts on f by lambda^d, which is exactly the
     character cut out by removing V(f); hence the cyclic quotient.  The
     hypotheses (ambient Picard group Z, V(f) reduced and irreducible) are
-    recorded, not verified.
+    recorded, not verified, with one exception: ``ValueError`` if a
+    variable x divides every term of f, unless f is a constant times x.
+    Then V(f) contains V(x) and is reducible or not reduced, and Z/d is
+    wrong: f = x^2 and f = x*y both have Pic = 0.
     """
+    monomials = data.polynomial.monomials()
+    for name in data.polynomial.variables:
+        if all(mono.exponent(name) for mono in monomials) and monomials != (
+            Monomial(((name, 1),)),
+        ):
+            raise ValueError(
+                f"the variable {name} divides every term of the polynomial, "
+                "so the hypersurface is reducible or not reduced"
+            )
     degree = weighted_degree(data.polynomial, data.grading)
     return ComplementPicard(
         group=AbelianGroupShape.cyclic(degree),

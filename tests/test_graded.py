@@ -56,6 +56,34 @@ def test_presentation_validation():
         )
 
 
+def test_presentation_refusals_keep_their_words_and_order():
+    # Unknown generators come sorted, whatever order the terms name them in.
+    with pytest.raises(ValueError) as info:
+        GradedPresentation.make([("x", 1)], ["z*x + b*x + z^2"])
+    assert str(info.value) == "relation uses unknown generators ['b', 'z']"
+    with pytest.raises(TypeError, match="^relations must be Poly instances$"):
+        GradedPresentation((("x", 1),), ("x^2",))
+    with pytest.raises(TypeError, match="^relations must be Poly instances$"):
+        GradedPresentation((("x", 1),), (parse_poly("x"), 2))
+    # The error carries every term degree, not just the first two seen.
+    with pytest.raises(InhomogeneousError) as info:
+        GradedPresentation.make([("x", 1), ("y", 2)], ["x^3 + x*y + y^2 + x"])
+    assert info.value.degrees == frozenset({1, 3, 4})
+    # Within one relation: unknown generators, then fractions, then degrees.
+    with pytest.raises(ValueError, match=r"unknown generators \['z'\]"):
+        GradedPresentation.make([("x", 1)], ["1/2*x + z^2 + x^3"])
+    with pytest.raises(ValueError) as info:
+        GradedPresentation.make([("x", 1)], ["1/2*x + x^3"])
+    assert str(info.value) == "relation x^3 + 1/2*x must have integer coefficients"
+    # Across relations, the first bad relation is the one reported.
+    with pytest.raises(InhomogeneousError):
+        GradedPresentation.make([("x", 1)], ["x + x^2", "z"])
+    with pytest.raises(InhomogeneousError):
+        GradedPresentation((("x", 1),), (parse_poly("x + x^2"), "x"))
+    with pytest.raises(ValueError, match="unknown generators"):
+        GradedPresentation((("x", 1),), (parse_poly("0"), parse_poly("z"), "x"))
+
+
 def test_presentation_input_is_not_converted():
     # A degree that is not an int, or a name that is not a str, is refused
     # as the constructor refuses it, not truncated or rendered.

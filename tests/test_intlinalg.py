@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import textwrap
 import time
 from fractions import Fraction
 from math import gcd
@@ -538,6 +540,62 @@ def test_unit_pivots_cascade_through_visited_rows():
     assert _eliminate_unit_pivots(rows) == 5
     assert rows == [{}, {}, {}, {}, {}, {5: 6, 6: 4}]
     assert invariant_factors(matrix) == invariant_factors_via_minor_gcds(matrix) == [1] * 5 + [2]
+
+
+def test_an_entry_of_two_beside_a_unit_is_not_a_pivot():
+    # Column 0 is held by fewer rows, but its 2 is no unit: the pivot is the
+    # 1 in column 1, which turns row 1 into {0: -6}.
+    rows = [{0: 2, 1: 1}, {1: 3}]
+    assert intlinalg._eliminate_unit_pivots(rows) == 1
+    assert rows == [{}, {0: -6}]
+    assert invariant_factors([[2, 1], [0, 3]]) == [1, 6]
+
+
+def test_fill_in_is_cleared_by_a_later_pivot():
+    # The pivot of row 0 leaves row 1 an entry in column 1, where it had
+    # none; the pivot of row 2 in column 1 must then clear it.
+    rows = [{0: -1, 1: 2}, {0: 2}, {0: 1, 1: -1}]
+    assert intlinalg._eliminate_unit_pivots(rows) == 2
+    assert rows == [{}, {}, {}]
+    assert cokernel([[-1, 2], [2, 0], [1, -1]], 2) == AbelianGroupShape.trivial()
+
+
+# Source mutants of the unit-pivot loop: the snippet, its replacement and the
+# test above that must fail.  A snippet must occur exactly once, so a rewrite
+# of the loop has to update or retire its mutant on purpose.
+UNIT_PIVOT_MUTANTS = {
+    "two-is-a-unit": (
+        "if value == 1 or value == -1:",
+        "if value in (1, -1, 2, -2):",
+        test_an_entry_of_two_beside_a_unit_is_not_a_pivot,
+    ),
+    "fill-in-not-registered": (
+        "holders[j].add(k)",
+        "pass",
+        test_fill_in_is_cleared_by_a_later_pivot,
+    ),
+}
+
+
+def _unit_pivot_loop(snippet, replacement):
+    """``_eliminate_unit_pivots`` rebuilt from its source with one change."""
+    source = textwrap.dedent(inspect.getsource(_eliminate_unit_pivots))
+    assert source.count(snippet) == 1
+    namespace = dict(vars(intlinalg))
+    exec(source.replace(snippet, replacement), namespace)
+    return namespace["_eliminate_unit_pivots"]
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_PIVOT_MUTANTS))
+def test_unit_pivot_mutants_fail_their_named_tests(monkeypatch, name):
+    snippet, replacement, victim = UNIT_PIVOT_MUTANTS[name]
+    unchanged, mutant = _unit_pivot_loop(snippet, snippet), _unit_pivot_loop(snippet, replacement)
+    # The loop rebuilt unchanged passes, so a failure is the mutant's.
+    monkeypatch.setattr(intlinalg, "_eliminate_unit_pivots", unchanged)
+    victim()
+    monkeypatch.setattr(intlinalg, "_eliminate_unit_pivots", mutant)
+    with pytest.raises(AssertionError):
+        victim()
 
 
 # -- pivots equal to 1 split off between Hermite passes ------------------------

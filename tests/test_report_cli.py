@@ -226,10 +226,15 @@ def test_cli_chow_rejects_bad_weight():
         ["chow", "2", "--max-degree", "9" * 4301],
         ["blowup", "4", "6", "--max-degree", "9" * 4301],
         ["verify-paper", "--bound", "9" * 4301],
+        ["curve", "fixed", "1e4300", "2"],
+        ["curve", "fixed", "--", "-1E-4300", "2"],
+        ["curve", "j", "2.5e4_299", "1"],
+        ["curve", "j", "1", "1e" + "9" * 4301],
     ],
     ids=[
         "weight", "rational", "denominator",
         "chow-max-degree", "blowup-max-degree", "verify-paper-bound",
+        "exponent", "negative-exponent", "decimal-exponent", "exponent-digits",
     ],
 )
 def test_cli_arguments_too_long_to_read_are_refused_briefly(capsys, argv):
@@ -242,6 +247,18 @@ def test_cli_arguments_too_long_to_read_are_refused_briefly(capsys, argv):
     assert len(err) < 300
     assert "a number of 4301 digits, over the limit of 4300" in err
     assert "set_int_max_str_digits" not in err
+
+
+def test_cli_huge_exponents_are_refused_before_they_are_expanded(capsys):
+    # Fraction("1e10000000") alone takes seconds, and "1e100000000" minutes.
+    for value, digits in (("1e10000000", 10000001), ("1e100000000", 100000001),
+                          ("-1e-100000000", 100000001)):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["curve", "fixed", "--", value, "2"])
+        assert time.perf_counter() - start < 0.5
+        assert excinfo.value.code == 2
+        assert f"a number of {digits} digits, over the limit of 4300" in capsys.readouterr().err
 
 
 def test_cli_blowup_moduli(capsys):
@@ -356,28 +373,48 @@ def test_cli_pic_complement_names_the_real_problem(capsys, argv, message):
     assert capsys.readouterr() == ("", message)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["1", "--poly", "x^2"], ["1", "1", "--poly", "x*y"], ["2", "3", "--poly", "x^3", "--vars", "x,y"]],
+    ids=["square", "product", "unused-variable"],
+)
+def test_cli_pic_complement_refuses_f_divisible_by_a_variable(capsys, argv):
+    # Each V(f) is reducible or not reduced, so Pic is not Z/deg f; these
+    # printed Z/2, Z/2 and Z/6 and exited 0.
+    assert main(["pic-complement", *argv]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: the variable x divides every term of the polynomial, "
+        "so the hypersurface is reducible or not reduced\n",
+    )
+
+
 def test_cli_pic_complement_rejects_expansions_over_the_budget(capsys):
     for text in ("(x+1)^2000", "(x+y+1)^200"):
         start = time.perf_counter()
         assert main(["pic-complement", "1", "1", "--poly", text]) == 2
         assert time.perf_counter() - start < 2.0
         assert "term products" in capsys.readouterr().err
-    assert main(["pic-complement", "1", "--poly", "x^1000000000000"]) == 0
+    # A pair's power only scales its exponents.  (f = x^N alone is refused:
+    # x divides it, so V(f) is not reduced.)
+    fermat = " + ".join(f"{name}^1000000000000" for name in "xyz")
+    assert main(["pic-complement", "1", "1", "1", "--poly", fermat]) == 0
     assert "Pic = Z/1000000000000" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
-    "text",
+    "weights, text",
     [
-        "3^14000*x",  # a 22,189-bit coefficient, under the parser's 65,536-bit cap
-        "(" * 50 + "x" + (")^" + "9" * 99) * 50,  # a 4,950-digit exponent
+        (["1"], "3^14000*x"),  # a 22,189-bit coefficient, under the parser's 65,536-bit cap
+        # a 4,357-digit exponent on x and on y, within the product budget
+        (["1", "1"], " + ".join("(" * 44 + name + (")^" + "9" * 99) * 44 for name in "xy")),
     ],
     ids=["coefficient", "exponent"],
 )
-def test_cli_pic_complement_numbers_too_long_to_print_are_an_error(capsys, text):
+def test_cli_pic_complement_numbers_too_long_to_print_are_an_error(capsys, weights, text):
     # Both parse, but printing them passes the interpreter's limit of 4300
     # decimal digits per integer; that used to end in a traceback and exit 1.
-    assert main(["pic-complement", "1", "--poly", text]) == 2
+    assert main(["pic-complement", *weights, "--poly", text]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "digits" in captured.err
@@ -398,7 +435,7 @@ def test_cli_pic_complement_refuses_numbers_too_long_to_read(capsys):
 def test_cli_pic_complement_degree_too_long_to_print_is_an_error(capsys):
     # f prints, but a 4,300-digit weight times a 4,300-digit exponent does not.
     digits = "9" * 4300
-    assert main(["pic-complement", digits, "--poly", f"x^{digits}"]) == 2
+    assert main(["pic-complement", digits, digits, "--poly", f"x^{digits} + y^{digits}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the weighted degree of f is too long to print")

@@ -23,6 +23,7 @@ from wpchow import (
     pic_complement,
     point_class,
     same_ideal,
+    weighted_degree,
 )
 
 P234 = WeightedProjectiveStack((2, 3, 4))
@@ -136,13 +137,35 @@ def test_pic_complement_trivial_and_derived():
         HypersurfaceComplementInput((1,), ("x",), Poly.variable("x"))
     )
     assert trivial.group.is_trivial
-    # f = A^3 * B^2 under weights (4, 6): degree 3*4 + 2*6 = 24
-    cubic_square = pic_complement(
-        HypersurfaceComplementInput(
-            (4, 6), ("A", "B"), parse_poly("A^3*B^2")
-        )
-    )
-    assert cubic_square.group == AbelianGroupShape.cyclic(24)
+    # f = A^3 * B^2 under weights (4, 6) has degree 3*4 + 2*6 = 24, but V(f)
+    # is V(A) + V(B), not reduced: Pic is Z/gcd(4, 6), not Z/24.
+    cubic_square = HypersurfaceComplementInput((4, 6), ("A", "B"), parse_poly("A^3*B^2"))
+    with pytest.raises(ValueError, match="the variable A divides every term"):
+        pic_complement(cubic_square)
+
+
+@pytest.mark.parametrize(
+    "weights, variables, text, refused",
+    [
+        ((1,), ("x",), "x^2", "x"),
+        ((1, 1), ("x", "y"), "x*y", "x"),
+        ((2, 3), ("x", "y"), "x^3", "x"),
+        ((1, 1), ("x", "y"), "x^2 + x*y", "x"),
+        ((1, 1, 1), ("x", "y", "z"), "x*z + y*z", "z"),
+        ((1,), ("x",), "-7*x", None),
+        ((1, 1, 1), ("x", "y", "z"), "x^2 + y*z", None),
+        ((2, 3, 4), ("a2", "a3", "a4"), "a2^2 + a4", None),
+    ],
+)
+def test_pic_complement_refuses_a_variable_that_divides_every_term(
+    weights, variables, text, refused
+):
+    data = HypersurfaceComplementInput(weights, variables, parse_poly(text))
+    if refused is None:
+        assert pic_complement(data).character_weight == weighted_degree(data.polynomial, data.grading)
+    else:
+        with pytest.raises(ValueError, match=f"the variable {refused} divides every term"):
+            pic_complement(data)
 
 
 def test_pic_complement_scaling_invariance():
