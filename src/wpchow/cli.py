@@ -8,6 +8,10 @@ assembly for weights 4 6), ``curve`` (the marked Weierstrass pipeline),
 
 Rational arguments parse as ``p/q``; use ``--`` before negative values,
 e.g. ``wpchow curve fixed -- -3 2``.
+
+The ``_cmd_*`` functions only compute and print.  :func:`main` alone
+turns a failure into its message and exit code (README, "Command line");
+the one local handler is ``verify-paper``'s, for an unwritable ``--output``.
 """
 
 from __future__ import annotations
@@ -143,11 +147,7 @@ def _cmd_blowup(args) -> int:
           f"{'pass' if ok else 'FAIL'}")
     if (data.w1, data.w2) == (4, 6):
         moduli = SharedValues(args.max_degree)
-        try:
-            images = moduli.verified_restriction()
-        except AssemblyMismatchError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        images = moduli.verified_restriction()
         print()
         print("moduli assembly (blow-up of the cusp of P(2, 3, 4)):")
         print(f"  compactified 2-pointed moduli: {moduli.m12bar.render()}")
@@ -160,86 +160,48 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    try:
-        if args.curve_command == "normalize":
-            marked = MarkedCurveCoeffs(args.values[0], args.values[1], args.values[2])
-            alpha, beta = to_short_form(marked)
-            print(f"alpha = ({alpha.alpha2}, {alpha.alpha3}, {alpha.alpha4})")
-            print(f"beta  = ({beta.beta4}, {beta.beta6})")
-        elif args.curve_command == "disc":
-            alpha = IntermediateCoeffs(args.values[0], args.values[1], args.values[2])
-            print(discriminant(alpha))
-        elif args.curve_command == "j":
-            short = ShortWeierstrass(args.values[0], args.values[1])
-            print(j_invariant(short))
-        elif args.curve_command == "iso":
-            first = MarkedCurveCoeffs(*args.values[:3])
-            second = MarkedCurveCoeffs(*args.values[3:])
-            scale = iso_test(first, second)
-            if scale is None:
-                print("not isomorphic over Q (no rational scaling)")
-                return 1
-            print(f"lambda = {scale}")
-        elif args.curve_command == "fixed":
-            short = ShortWeierstrass(args.values[0], args.values[1])
-            points = mu2_fixed_points(short)
-            if not points:
-                print("no rational fixed points")
-            for point in points:
-                coords = ", ".join(str(c) for c in point.coords)
-                suffix = f" (multiplicity {point.multiplicity})" if point.multiplicity > 1 else ""
-                print(f"x = {point.x}{suffix} -> [{coords}]")
-    except SingularCurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    command, values = args.curve_command, args.values
+    if command == "normalize":
+        alpha, beta = to_short_form(MarkedCurveCoeffs(*values))
+        print(f"alpha = ({alpha.alpha2}, {alpha.alpha3}, {alpha.alpha4})")
+        print(f"beta  = ({beta.beta4}, {beta.beta6})")
+    elif command == "disc":
+        print(discriminant(IntermediateCoeffs(*values)))
+    elif command == "j":
+        print(j_invariant(ShortWeierstrass(*values)))
+    elif command == "iso":
+        scale = iso_test(MarkedCurveCoeffs(*values[:3]), MarkedCurveCoeffs(*values[3:]))
+        if scale is None:
+            print("not isomorphic over Q (no rational scaling)")
+            return 1
+        print(f"lambda = {scale}")
+    elif command == "fixed":
+        points = mu2_fixed_points(ShortWeierstrass(*values))
+        if not points:
+            print("no rational fixed points")
+        for point in points:
+            coords = ", ".join(str(c) for c in point.coords)
+            suffix = f" (multiplicity {point.multiplicity})" if point.multiplicity > 1 else ""
+            print(f"x = {point.x}{suffix} -> [{coords}]")
     return 0
 
 
 def _cmd_pic_complement(args) -> int:
-    try:
-        polynomial = parse_poly(args.poly)
-        variables = (
-            tuple(v.strip() for v in args.vars.split(","))
-            if args.vars
-            else polynomial.variables
-        )
-        data = HypersurfaceComplementInput(
-            weights=tuple(args.weights),
-            variables=variables,
-            polynomial=polynomial,
-        )
-        result = pic_complement(data)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # Turning an integer into decimal text raises ValueError past the
-    # interpreter's limit on digits (4300 by default); the parser accepts
-    # coefficients of up to 65,536 bits and unbounded exponents.
-    try:
-        rendered = polynomial.render()
-    except ValueError:
-        return _too_long_to_print("f has a coefficient or exponent")
-    try:
-        lines = [
-            f"f = {rendered}",
-            f"weighted degree {result.character_weight} under weights "
-            f"({', '.join(str(w) for w in data.weights)})",
-            f"Pic = {result.group}",
-            f"assumptions: {'; '.join(result.assumptions)}",
-        ]
-    except ValueError:
-        return _too_long_to_print("the weighted degree of f is")
+    polynomial = parse_poly(args.poly)
+    names = args.vars.split(",") if args.vars else polynomial.variables
+    variables = tuple(name.strip() for name in names)
+    data = HypersurfaceComplementInput(tuple(args.weights), variables, polynomial)
+    result = pic_complement(data)
+    # Every line is rendered before the first is printed.
+    lines = [
+        f"f = {polynomial.render()}",
+        f"weighted degree {result.character_weight} under weights "
+        f"({', '.join(str(w) for w in data.weights)})",
+        f"Pic = {result.group}",
+        f"assumptions: {'; '.join(result.assumptions)}",
+    ]
     print("\n".join(lines))
     return 0
-
-
-def _too_long_to_print(subject: str) -> int:
-    limit = sys.get_int_max_str_digits()
-    print(f"error: {subject} too long to print (over {limit} decimal digits)", file=sys.stderr)
-    return 2
 
 
 def _cmd_verify(args) -> int:
@@ -350,7 +312,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "invariant_bound", 0) > MAX_INVARIANT_BOUND:
         parser.error(f"--invariant-bound must be at most {MAX_INVARIANT_BOUND}")
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except (AssemblyMismatchError, SingularCurveError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        except ValueError as exc:
+            # Printing an integer past the interpreter's limit on digits
+            # raises ValueError; the parsers accept numbers whose results do.
+            message = str(exc)
+            if "set_int_max_str_digits" in message:
+                message = ("the output has a number too long to print "
+                           f"(over {sys.get_int_max_str_digits()} decimal digits)")
+            print(f"error: {message}", file=sys.stderr)
+            code = 2
         # Output still buffered would otherwise fail at exit, out of reach.
         sys.stdout.flush()
     except BrokenPipeError:

@@ -133,7 +133,7 @@ def marked_equation() -> Poly:
     coefficient symbols a2, a3, a4.
     """
     x, y, z = (Poly.variable(v) for v in ("x", "y", "z"))
-    a2, a3, a4 = (Poly.variable(v) for v in ("a2", "a3", "a4"))
+    a2, a3, a4 = (Poly.variable(v) for v in coordinate_grading())
     return y**2 * z + a3 * y * z**2 - x**3 - a2 * x**2 * z - a4 * x * z**2
 
 
@@ -164,7 +164,7 @@ def weierstrass_substitution_residual() -> Poly:
     coefficient map that :func:`to_short_form` evaluates.  The result is
     identically zero; callers may assert on it.
     """
-    alpha = _alpha_map(*(Poly.variable(v) for v in ("a2", "a3", "a4")))
+    alpha = _alpha_map(*(Poly.variable(v) for v in coordinate_grading()))
     cap_x, cap_y, cap_z = (Poly.variable(v) for v in ("X", "Y", "Z"))
     shift = {"x": cap_x - alpha[0] * cap_z, "y": cap_y - alpha[1] * cap_z, "z": cap_z}
     transformed = substitute(marked_equation(), shift)
@@ -213,7 +213,7 @@ def short_discriminant(short: ShortWeierstrass) -> Fraction:
 def discriminant_polynomial() -> Poly:
     """:func:`discriminant` as a polynomial in a2, a3, a4 standing for the
     intermediate coordinates; homogeneous of degree 12 under :func:`coordinate_grading`."""
-    return _discriminant(*_coefficient_map(*(Poly.variable(v) for v in ("a2", "a3", "a4"))))
+    return _discriminant(*_coefficient_map(*(Poly.variable(v) for v in coordinate_grading())))
 
 
 def j_invariant(short: ShortWeierstrass) -> Fraction:

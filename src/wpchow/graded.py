@@ -21,7 +21,7 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._record import frozen_record
-from .intlinalg import AbelianGroupShape, _sparse_cokernel, solve_integer
+from .intlinalg import AbelianGroupShape, _dense, _sparse_cokernel, solve_integer
 from .poly import (
     _IDENTIFIER,
     InhomogeneousError,
@@ -346,21 +346,13 @@ def is_zero(element: GradedElement) -> bool:
         return True
     names, degrees, _ = element.ambient._layout
     _, index, powers = _basis(degrees, element.degree)
-    rows = []
-    for packed, shifts in _lifts(element.ambient, element.degree):
-        for shift in shifts:
-            row = [0] * len(index)
-            for key, coeff in packed:
-                row[index[shift + key]] = coeff
-            rows.append(row)
     power = dict(zip(names, powers))
     vector = [0] * len(index)
     for mono, coeff in element.value.terms():
         key = sum(exp * power[name] for name, exp in mono.exponents)
         vector[index[key]] = int(coeff)
-    if not rows:
-        return not any(vector)
-    return solve_integer(rows, vector) is not None
+    rows = _relation_rows(element.ambient, element.degree)[1]
+    return solve_integer(_dense(rows, len(index)), vector) is not None
 
 
 def quotient(

@@ -106,3 +106,31 @@ def test_every_lru_cache_has_a_finite_maxsize():
             assert type(size[0].value) is int and size[0].value > 0, where
             sizes.append((path.name, size[0].value))
     assert sum(module == "graded.py" for module, _ in sizes) == 3
+
+
+def _caught_names(handler: ast.ExceptHandler) -> set:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {getattr(node, "id", None) or getattr(node, "attr", None) for node in caught}
+
+
+def test_main_alone_maps_a_cli_failure_to_an_exit_code():
+    # The commands only compute and print; a handler of their own would
+    # fork the failure paths that main unifies.
+    source = Path(wpchow.__file__).resolve().parent / "cli.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    failures = {"AssemblyMismatchError", "SingularCurveError", "ValueError"}
+    handlers = {
+        function.name: [node for node in ast.walk(function) if isinstance(node, ast.ExceptHandler)]
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef)
+    }
+    assert failures <= set().union(*map(_caught_names, handlers.pop("main")))
+    for name, found in handlers.items():
+        if name.startswith("_cmd_"):
+            allowed = [{"OSError"}] if name == "_cmd_verify" else []
+            assert [_caught_names(handler) for handler in found] == allowed, name
+        for handler in found:
+            # Only argparse's type functions catch a ValueError, to raise
+            # its ArgumentTypeError instead; argparse picks the exit code.
+            if _caught_names(handler) & failures:
+                assert isinstance(handler.body[-1], ast.Raise), f"{name}:{handler.lineno}"

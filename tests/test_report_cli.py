@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import fuzz_cli
 from wpchow import AssemblyMismatchError, VerificationReport, build_report, cli, m12bar_chow
 from wpchow.cli import main
 
@@ -249,6 +250,37 @@ def test_cli_arguments_too_long_to_read_are_refused_briefly(capsys, argv):
     assert "set_int_max_str_digits" not in err
 
 
+# The one message for a result with an integer past the interpreter's
+# 4,300-digit limit on decimal text, whichever command computed it.
+TOO_LONG_TO_PRINT = "error: the output has a number too long to print (over 4300 decimal digits)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chow", "7" * 2500, "7" * 2500],
+        ["blowup", "7" * 2500, "7" * 2500],
+        ["curve", "normalize", "7" * 3000, "1", "1"],
+        ["curve", "j", "7" * 3000, "1"],
+        ["curve", "disc", "7" * 3000, "1", "1"],
+    ],
+    ids=["chow", "blowup", "curve-normalize", "curve-j", "curve-disc"],
+)
+def test_cli_results_too_long_to_print_are_refused_briefly(capsys, argv):
+    # Each argument reads, but a product of weights or a power of a
+    # coefficient passes the limit: chow and blowup ended in a traceback
+    # and exit 1, and curve printed the interpreter's own text.
+    assert main(argv) == 2
+    assert capsys.readouterr().err == TOO_LONG_TO_PRINT
+
+
+def test_cli_fuzz_slice_exits_cleanly():
+    # A fixed-seed slice of the grammar fuzzer; `python tests/fuzz_cli.py
+    # --seed N --cases M` runs longer campaigns.
+    failures, _ = fuzz_cli.campaign(seed=0, cases=300)
+    assert failures == []
+
+
 def test_cli_huge_exponents_are_refused_before_they_are_expanded(capsys):
     # Fraction("1e10000000") alone takes seconds, and "1e100000000" minutes.
     for value, digits in (("1e10000000", 10000001), ("1e100000000", 100000001),
@@ -415,11 +447,7 @@ def test_cli_pic_complement_numbers_too_long_to_print_are_an_error(capsys, weigh
     # Both parse, but printing them passes the interpreter's limit of 4300
     # decimal digits per integer; that used to end in a traceback and exit 1.
     assert main(["pic-complement", *weights, "--poly", text]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "digits" in captured.err
-    assert "set_int_max_str_digits" not in captured.err
-    assert "f has a coefficient or exponent too long to print" in captured.err
+    assert capsys.readouterr() == ("", TOO_LONG_TO_PRINT)
 
 
 def test_cli_pic_complement_refuses_numbers_too_long_to_read(capsys):
@@ -436,10 +464,7 @@ def test_cli_pic_complement_degree_too_long_to_print_is_an_error(capsys):
     # f prints, but a 4,300-digit weight times a 4,300-digit exponent does not.
     digits = "9" * 4300
     assert main(["pic-complement", digits, digits, "--poly", f"x^{digits} + y^{digits}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: the weighted degree of f is too long to print")
-    assert "set_int_max_str_digits" not in captured.err
+    assert capsys.readouterr() == ("", TOO_LONG_TO_PRINT)
 
 
 VERIFY_PAPER_GOLDEN = [
