@@ -318,10 +318,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             code = 1
         except ValueError as exc:
-            # Printing an integer past the interpreter's limit on digits
-            # raises ValueError; the parsers accept numbers whose results do.
+            # Printing an integer past the interpreter's digit limit raises
+            # this; matched on its opening words, as ours may quote input.
             message = str(exc)
-            if "set_int_max_str_digits" in message:
+            if message.startswith("Exceeds the limit (") and "integer string conversion" in message:
                 message = ("the output has a number too long to print "
                            f"(over {sys.get_int_max_str_digits()} decimal digits)")
             print(f"error: {message}", file=sys.stderr)

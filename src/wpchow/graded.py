@@ -21,7 +21,7 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._record import frozen_record
-from .intlinalg import AbelianGroupShape, _dense, _sparse_cokernel, solve_integer
+from .intlinalg import AbelianGroupShape, _solve_sparse, _sparse_cokernel
 from .poly import (
     _IDENTIFIER,
     InhomogeneousError,
@@ -352,7 +352,7 @@ def is_zero(element: GradedElement) -> bool:
         key = sum(exp * power[name] for name, exp in mono.exponents)
         vector[index[key]] = int(coeff)
     rows = _relation_rows(element.ambient, element.degree)[1]
-    return solve_integer(_dense(rows, len(index)), vector) is not None
+    return _solve_sparse(rows, vector) is not None
 
 
 def quotient(

@@ -4,8 +4,8 @@ Everything here runs over Python's arbitrary-precision integers.  The
 public functions take and return plain lists of lists in row-major order;
 inside, rows are held sparsely as ``{column: value}``.  The graded pieces
 of :mod:`wpchow.graded` hand their relation rows over in that sparse form,
-to :func:`_sparse_cokernel`, which skips the dense-input checks of
-:func:`cokernel`.
+to :func:`_sparse_cokernel` and :func:`_solve_sparse`, which skip the
+dense-input checks of :func:`cokernel` and :func:`solve_integer`.
 
 Entries are read through ``operator.index``: a ``Fraction`` or ``float``
 raises ``TypeError`` rather than being truncated.
@@ -433,34 +433,34 @@ def solve_integer(matrix: Sequence[Sequence[int]], target: Sequence[int]) -> Opt
     ``b`` is not in the row lattice of ``M``.
     """
     b = [index(value) for value in target]
-    h, u = hermite_normal_form(matrix)
-    m = len(h)
-    n = len(h[0]) if h else len(b)
-    if any(len(row) != len(b) for row in h):
+    h, n = _sparse(matrix)
+    if h and n != len(b):
         raise ValueError("target length must equal the number of matrix columns")
-    if m == 0:
-        return [] if not any(b) else None
-    pivot_row = {}
-    for i in range(m):
-        for c in range(n):
-            if h[i][c] != 0:
-                pivot_row[c] = i
-                break
-    y = [0] * m
-    residue = list(b)
-    for c in range(n):
-        if residue[c] == 0:
+    return _solve_sparse(h, b)
+
+
+def _solve_sparse(h: list[dict[int, int]], b: list[int]) -> Optional[list[int]]:
+    """:func:`solve_integer` on ``{column: value}`` rows; consumes ``h`` and ``b``.
+
+    Once ``h`` is in Hermite form, ``b`` is in its lattice iff reducing it
+    along the pivots, in column order, leaves nothing.
+    """
+    u = [{i: 1} for i in range(len(h))]
+    _hermite(h, u)
+    pivot_row = {min(row): i for i, row in enumerate(h) if row}
+    x = [0] * len(h)
+    for c, value in enumerate(b):
+        if value == 0:
             continue
         i = pivot_row.get(c)
-        if i is None or residue[c] % h[i][c] != 0:
+        if i is None or value % h[i][c] != 0:
             return None
-        q = residue[c] // h[i][c]
-        y[i] = q
-        residue = [value - q * hv for value, hv in zip(residue, h[i])]
-    if any(residue):
-        return None
-    support = [i for i in range(m) if y[i]]
-    return [sum(y[i] * u[i][j] for i in support) for j in range(m)]
+        q = value // h[i][c]
+        for j, hv in h[i].items():
+            b[j] -= q * hv
+        for j, uv in u[i].items():
+            x[j] += q * uv
+    return x
 
 
 @frozen_record

@@ -169,7 +169,7 @@ def _expire(signum, frame):
     raise CaseTimeout
 
 
-def run_case(argv: list[str], limit: float = CASE_LIMIT_S) -> tuple[str | None, float]:
+def run_case(argv: list[str]) -> tuple[str | None, float]:
     """Run one case; return ``(failure, seconds)``, failure ``None`` if it held."""
     # Imported here: run as a script, this file puts src/ on the path first.
     from wpchow.cli import main
@@ -178,13 +178,13 @@ def run_case(argv: list[str], limit: float = CASE_LIMIT_S) -> tuple[str | None, 
     previous = signal.signal(signal.SIGALRM, _expire)
     start = time.perf_counter()
     try:
-        signal.setitimer(signal.ITIMER_REAL, limit)
+        signal.setitimer(signal.ITIMER_REAL, CASE_LIMIT_S)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     except SystemExit as exc:
         code = "usage" if exc.code == 2 else f"SystemExit({exc.code!r})"
     except CaseTimeout:
-        code = f"over the {limit} s limit"
+        code = f"over the {CASE_LIMIT_S} s limit"
     except Exception as exc:  # the property under test: nothing escapes
         code = f"{type(exc).__name__}: {str(exc)[:200]}"
     finally:

@@ -397,8 +397,19 @@ def test_cli_pic_complement_inhomogeneous(capsys):
             "error: variable '' is not a name of the polynomial syntax "
             "(a letter or _, then letters, digits or _)\n",
         ),
+        # A parse error quoting the words of the interpreter's digit limit
+        # is still the parse error, not the too-long-to-print message.
+        (
+            ["1", "--poly", "x set_int_max_str_digits"],
+            "error: trailing input starting at 'set_int_max_str_digits'\n",
+        ),
+        (
+            ["1", "--poly", "x Exceeds the limit (4300 digits) for integer string conversion"],
+            "error: trailing input starting at 'Exceeds'\n",
+        ),
     ],
-    ids=["zero-polynomial", "empty-variable"],
+    ids=["zero-polynomial", "empty-variable", "quotes-digit-limit-name",
+         "quotes-digit-limit-text"],
 )
 def test_cli_pic_complement_names_the_real_problem(capsys, argv, message):
     assert main(["pic-complement", *argv]) == 2
