@@ -16,146 +16,47 @@ The package computes, over Z and Q with no floating point anywhere:
 ``wpchow.report`` aggregates every identity into a verification report.
 """
 
-from .blowup import (
-    AssemblyMismatchError,
-    BlowupData,
-    MODULI_AMBIENT,
-    MODULI_BLOWUP,
-    MODULI_RESTRICTION,
-    check_split_assembly,
-    cusp_complement_chow,
-    cusp_locus_class,
-    discriminant_hypersurface,
-    exceptional_selfintersection,
-    invariant_ring_check,
-    m12_open_chow,
-    m12bar_chow,
-    phi_degree2_images,
-    split_pieces,
-    unkilled_relations,
-)
-from .curves import (
-    IntermediateCoeffs,
-    MarkedCurveCoeffs,
-    Mu2FixedPoint,
-    ShortWeierstrass,
-    SingularCurveError,
-    coordinate_grading,
-    discriminant,
-    discriminant_polynomial,
-    fiber_curve,
-    iso_test,
-    j_invariant,
-    marked_equation,
-    mu2_fixed_points,
-    short_discriminant,
-    short_weierstrass_coeffs,
-    to_short_form,
-    weierstrass_substitution_residual,
-)
-from .graded import (
-    DegreeMismatchError,
-    GradedElement,
-    GradedPresentation,
-    graded_piece,
-    hom_check,
-    is_zero,
-    monomials_of_degree,
-    quotient,
-    same_ideal,
-)
-from .intlinalg import (
-    AbelianGroupShape,
-    cokernel,
-    hermite_normal_form,
-    smith_normal_form,
-    solve_integer,
-)
-from .poly import (
-    InhomogeneousError,
-    Monomial,
-    Poly,
-    parse_poly,
-    substitute,
-    weighted_degree,
-)
-from .report import ReportItem, VerificationReport, build_report
 from .version import __version__
-from .wps import (
-    ComplementPicard,
-    HypersurfaceComplementInput,
-    WeightedProjectiveStack,
-    chow_of_complement,
-    chow_ring,
-    line_image_class,
-    pic_complement,
-    point_class,
-)
 
-__all__ = [
-    "AbelianGroupShape",
-    "AssemblyMismatchError",
-    "BlowupData",
-    "ComplementPicard",
-    "DegreeMismatchError",
-    "GradedElement",
-    "GradedPresentation",
-    "HypersurfaceComplementInput",
-    "InhomogeneousError",
-    "IntermediateCoeffs",
-    "MODULI_AMBIENT",
-    "MODULI_BLOWUP",
-    "MODULI_RESTRICTION",
-    "MarkedCurveCoeffs",
-    "Monomial",
-    "Mu2FixedPoint",
-    "Poly",
-    "ReportItem",
-    "ShortWeierstrass",
-    "SingularCurveError",
-    "VerificationReport",
-    "WeightedProjectiveStack",
-    "__version__",
-    "build_report",
-    "check_split_assembly",
-    "chow_of_complement",
-    "chow_ring",
-    "cokernel",
-    "coordinate_grading",
-    "cusp_complement_chow",
-    "cusp_locus_class",
-    "discriminant",
-    "discriminant_hypersurface",
-    "discriminant_polynomial",
-    "exceptional_selfintersection",
-    "fiber_curve",
-    "graded_piece",
-    "hermite_normal_form",
-    "hom_check",
-    "invariant_ring_check",
-    "is_zero",
-    "iso_test",
-    "j_invariant",
-    "line_image_class",
-    "m12_open_chow",
-    "m12bar_chow",
-    "marked_equation",
-    "monomials_of_degree",
-    "mu2_fixed_points",
-    "parse_poly",
-    "phi_degree2_images",
-    "pic_complement",
-    "point_class",
-    "quotient",
-    "same_ideal",
-    "short_discriminant",
-    "short_weierstrass_coeffs",
-    "smith_normal_form",
-    "solve_integer",
-    "split_pieces",
-    "substitute",
-    "to_short_form",
-    "unkilled_relations",
-    "weierstrass_substitution_residual",
-    "weighted_degree",
-]
+# Each public name, by the submodule that defines it.  Nothing is imported
+# until a name is first read (PEP 562), so ``import wpchow.cli`` loads no
+# library module; the command line imports each one when a command needs it.
+_EXPORTS = {
+    "blowup": """AssemblyMismatchError BlowupData MODULI_AMBIENT MODULI_BLOWUP
+        MODULI_RESTRICTION check_split_assembly cusp_complement_chow cusp_locus_class
+        discriminant_hypersurface exceptional_selfintersection invariant_ring_check
+        m12_open_chow m12bar_chow phi_degree2_images split_pieces unkilled_relations""",
+    "curves": """IntermediateCoeffs MarkedCurveCoeffs Mu2FixedPoint ShortWeierstrass
+        SingularCurveError coordinate_grading discriminant discriminant_polynomial
+        fiber_curve iso_test j_invariant marked_equation mu2_fixed_points
+        short_discriminant short_weierstrass_coeffs to_short_form
+        weierstrass_substitution_residual""",
+    "graded": """DegreeMismatchError GradedElement GradedPresentation graded_piece
+        hom_check is_zero monomials_of_degree quotient same_ideal""",
+    "intlinalg": """AbelianGroupShape cokernel hermite_normal_form smith_normal_form
+        solve_integer""",
+    "poly": "InhomogeneousError Monomial Poly parse_poly substitute weighted_degree",
+    "report": "ReportItem VerificationReport build_report",
+    "wps": """ComplementPicard HypersurfaceComplementInput WeightedProjectiveStack
+        chow_of_complement chow_ring line_image_class pic_complement point_class""",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted([*_OWNER, "__version__"])
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _OWNER:
+        value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -42,6 +42,7 @@ from math import prod
 from types import MappingProxyType
 from typing import Sequence
 
+from ._errors import AssemblyMismatchError
 from ._record import frozen_record
 from .curves import coordinate_grading, discriminant_polynomial
 from .graded import (
@@ -82,10 +83,6 @@ __all__ = [
     "split_pieces",
     "unkilled_relations",
 ]
-
-
-class AssemblyMismatchError(Exception):
-    """An assembled presentation disagrees with its split decomposition."""
 
 
 @frozen_record

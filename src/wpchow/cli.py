@@ -9,9 +9,11 @@ assembly for weights 4 6), ``curve`` (the marked Weierstrass pipeline),
 Rational arguments parse as ``p/q``; use ``--`` before negative values,
 e.g. ``wpchow curve fixed -- -3 2``.
 
-The ``_cmd_*`` functions only compute and print.  :func:`main` alone
-turns a failure into its message and exit code (README, "Command line");
-the one local handler is ``verify-paper``'s, for an unwritable ``--output``.
+The ``_cmd_*`` functions only compute and print, and each imports the
+library modules it runs, so a cold process loads no more of the package
+than its command needs.  :func:`main` alone turns a failure into its
+message and exit code (README, "Command line"); the one local handler is
+``verify-paper``'s, for an unwritable ``--output``.
 """
 
 from __future__ import annotations
@@ -21,36 +23,10 @@ import gc
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .blowup import (
-    AssemblyMismatchError,
-    BlowupData,
-    exceptional_selfintersection,
-    invariant_ring_check,
-)
-from .curves import (
-    IntermediateCoeffs,
-    MarkedCurveCoeffs,
-    ShortWeierstrass,
-    SingularCurveError,
-    discriminant,
-    iso_test,
-    j_invariant,
-    mu2_fixed_points,
-    to_short_form,
-)
-from .graded import graded_piece
-from .poly import parse_poly
-from .report import SharedValues, build_report
+from ._errors import AssemblyMismatchError, SingularCurveError
 from .version import __version__
-from .wps import (
-    HypersurfaceComplementInput,
-    WeightedProjectiveStack,
-    chow_ring,
-    pic_complement,
-)
 
 __all__ = ["main", "run"]
 
@@ -86,7 +62,9 @@ def _refuse_long_number(text: str) -> None:
 _EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE][-+]?(\d[\d_]*)\s*")
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    from fractions import Fraction
+
     _refuse_long_number(text)
     scientific = _EXPONENT_FORM.fullmatch(text)
     if scientific:
@@ -113,80 +91,121 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _print_pieces(presentation, max_degree: int) -> None:
-    print(" n | piece")
-    for n in range(max_degree + 1):
-        print(f"{n:2} | {graded_piece(presentation, n)}")
+class _OneValue(argparse.Action):
+    """Store a single-value positional.  Python 3.11's argparse strips a
+    second ``--`` from the value it matched and hands the action an empty
+    list (``wpchow blowup 8 -- --``); that is the positional left out."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            parser.error(f"the following arguments are required: {self.dest}")
+        setattr(namespace, self.dest, values)
+
+
+def _piece_lines(presentation, max_degree: int) -> list:
+    from .graded import graded_piece
+
+    pieces = (f"{n:2} | {graded_piece(presentation, n)}" for n in range(max_degree + 1))
+    return [" n | piece", *pieces]
 
 
 def _cmd_chow(args) -> int:
+    from .wps import WeightedProjectiveStack, chow_ring
+
     stack = WeightedProjectiveStack(tuple(args.weights))
     ring = chow_ring(stack)
-    print(f"A*({stack}) = {ring.render()}")
-    _print_pieces(ring, args.max_degree)
+    print("\n".join([f"A*({stack}) = {ring.render()}", *_piece_lines(ring, args.max_degree)]))
     return 0
 
 
 def _cmd_blowup(args) -> int:
+    from .blowup import BlowupData, exceptional_selfintersection, invariant_ring_check
+    from .wps import chow_ring
+
+    # Each section is rendered before any of it is printed, so a failure
+    # prints no part of it; a failed moduli assembly still leaves the
+    # blow-up section above it.
     data = BlowupData(args.w1, args.w2)
-    print(f"weighted blow-up of a smooth surface point, weights ({data.w1}, {data.w2})")
-    print(f"exceptional divisor: {data.exceptional} with "
-          f"A* = {chow_ring(data.exceptional).render()}")
-    square = exceptional_selfintersection(data)
-    print(f"self-intersection: E^2 pushes to {square.value.render()} "
-          "on the exceptional divisor")
+    lines = [
+        f"weighted blow-up of a smooth surface point, weights ({data.w1}, {data.w2})",
+        f"exceptional divisor: {data.exceptional} with "
+        f"A* = {chow_ring(data.exceptional).render()}",
+        f"self-intersection: E^2 pushes to {exceptional_selfintersection(data).value.render()} "
+        "on the exceptional divisor",
+    ]
     # The {x != 0} chart is A^2 / mu_w1 embedded via (a, b) -> (1, a, b); the
     # {y != 0} chart is symmetric.
     for which, order, alpha in ((1, data.w1, "(a, b) -> (1, a, b)"),
                                 (2, data.w2, "(a, b) -> (a, 1, b)")):
-        print(f"chart {which}: A^2 / mu_{order}, alpha: {alpha}, "
-              f"beta: xi -> xi^-i for xi a {order}-th root of unity "
-              "(exponent not pinned by the construction)")
+        lines.append(f"chart {which}: A^2 / mu_{order}, alpha: {alpha}, "
+                     f"beta: xi -> xi^-i for xi a {order}-th root of unity "
+                     "(exponent not pinned by the construction)")
     ok = invariant_ring_check(data.w1, data.w2, args.invariant_bound)
-    print(f"invariant ring check up to total degree {args.invariant_bound}: "
-          f"{'pass' if ok else 'FAIL'}")
+    lines.append(f"invariant ring check up to total degree {args.invariant_bound}: "
+                 f"{'pass' if ok else 'FAIL'}")
+    print("\n".join(lines))
     if (data.w1, data.w2) == (4, 6):
+        from .report import SharedValues
+
         moduli = SharedValues(args.max_degree)
         images = moduli.verified_restriction()
-        print()
-        print("moduli assembly (blow-up of the cusp of P(2, 3, 4)):")
-        print(f"  compactified 2-pointed moduli: {moduli.m12bar.render()}")
-        _print_pieces(moduli.m12bar, args.max_degree)
-        print(f"  open 2-pointed moduli: {moduli.m12open.render()}")
-        print(f"    degreewise equal to Z[t]/(12*t) up to degree {args.max_degree}")
         image_text = ", ".join(f"{name} -> {image}" for name, image in images.items())
-        print(f"  restriction map verified: {image_text}")
+        print("\n".join([
+            "",
+            "moduli assembly (blow-up of the cusp of P(2, 3, 4)):",
+            f"  compactified 2-pointed moduli: {moduli.m12bar.render()}",
+            *_piece_lines(moduli.m12bar, args.max_degree),
+            f"  open 2-pointed moduli: {moduli.m12open.render()}",
+            f"    degreewise equal to Z[t]/(12*t) up to degree {args.max_degree}",
+            f"  restriction map verified: {image_text}",
+        ]))
     return 0 if ok else 1
 
 
 def _cmd_curve(args) -> int:
+    from .curves import (
+        IntermediateCoeffs,
+        MarkedCurveCoeffs,
+        ShortWeierstrass,
+        discriminant,
+        iso_test,
+        j_invariant,
+        mu2_fixed_points,
+        to_short_form,
+    )
+
     command, values = args.curve_command, args.values
+    code = 0
     if command == "normalize":
         alpha, beta = to_short_form(MarkedCurveCoeffs(*values))
-        print(f"alpha = ({alpha.alpha2}, {alpha.alpha3}, {alpha.alpha4})")
-        print(f"beta  = ({beta.beta4}, {beta.beta6})")
+        lines = [f"alpha = ({alpha.alpha2}, {alpha.alpha3}, {alpha.alpha4})",
+                 f"beta  = ({beta.beta4}, {beta.beta6})"]
     elif command == "disc":
-        print(discriminant(IntermediateCoeffs(*values)))
+        lines = [str(discriminant(IntermediateCoeffs(*values)))]
     elif command == "j":
-        print(j_invariant(ShortWeierstrass(*values)))
+        lines = [str(j_invariant(ShortWeierstrass(*values)))]
     elif command == "iso":
         scale = iso_test(MarkedCurveCoeffs(*values[:3]), MarkedCurveCoeffs(*values[3:]))
         if scale is None:
-            print("not isomorphic over Q (no rational scaling)")
-            return 1
-        print(f"lambda = {scale}")
-    elif command == "fixed":
-        points = mu2_fixed_points(ShortWeierstrass(*values))
-        if not points:
-            print("no rational fixed points")
-        for point in points:
+            lines, code = ["not isomorphic over Q (no rational scaling)"], 1
+        else:
+            lines = [f"lambda = {scale}"]
+    else:
+        lines = []
+        for point in mu2_fixed_points(ShortWeierstrass(*values)):
             coords = ", ".join(str(c) for c in point.coords)
             suffix = f" (multiplicity {point.multiplicity})" if point.multiplicity > 1 else ""
-            print(f"x = {point.x}{suffix} -> [{coords}]")
-    return 0
+            lines.append(f"x = {point.x}{suffix} -> [{coords}]")
+        lines = lines or ["no rational fixed points"]
+    # Every line is rendered before the first is printed.
+    print("\n".join(lines))
+    return code
 
 
 def _cmd_pic_complement(args) -> int:
+    from .poly import parse_poly
+    from .wps import HypersurfaceComplementInput, pic_complement
+
     polynomial = parse_poly(args.poly)
     names = args.vars.split(",") if args.vars else polynomial.variables
     variables = tuple(name.strip() for name in names)
@@ -205,6 +224,8 @@ def _cmd_pic_complement(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .report import build_report
+
     report = build_report(bound=args.bound, self_test=args.self_test)
     rendered = report.render_json() if args.format == "json" else report.render_text()
     if args.output:
@@ -239,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     chow.set_defaults(func=_cmd_chow)
 
     blowup = sub.add_parser("blowup", help="weighted blow-up data and charts")
-    blowup.add_argument("w1", type=_positive_int)
-    blowup.add_argument("w2", type=_positive_int)
+    blowup.add_argument("w1", type=_positive_int, action=_OneValue)
+    blowup.add_argument("w2", type=_positive_int, action=_OneValue)
     blowup.add_argument(
         "--max-degree",
         type=_integer,

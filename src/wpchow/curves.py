@@ -31,6 +31,7 @@ from functools import lru_cache
 from math import isqrt, lcm
 from typing import Optional, Union
 
+from ._errors import SingularCurveError
 from ._record import frozen_record
 from .poly import Poly, substitute
 
@@ -55,18 +56,6 @@ __all__ = [
     "to_short_form",
     "weierstrass_substitution_residual",
 ]
-
-
-class SingularCurveError(ValueError):
-    """The short-form curve is singular (vanishing discriminant)."""
-
-    def __init__(self, beta4: Fraction, beta6: Fraction):
-        self.beta4 = beta4
-        self.beta6 = beta6
-        super().__init__(
-            f"curve (beta4, beta6) = ({beta4}, {beta6}) is singular: "
-            "discriminant 4*beta4^3 + 27*beta6^2 = 0"
-        )
 
 
 def _check_z16_denominator(value: Fraction, field: str) -> None:

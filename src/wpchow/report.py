@@ -20,7 +20,6 @@ JSON consumers cannot lose precision.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from operator import index
 from typing import Callable, Mapping, Union
@@ -109,6 +108,8 @@ class VerificationReport:
         }
 
     def render_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
@@ -131,6 +132,8 @@ class VerificationReport:
 
     @classmethod
     def parse_json(cls, text: str) -> "VerificationReport":
+        import json
+
         return cls.from_json_dict(json.loads(text))
 
     def render_text(self) -> str:

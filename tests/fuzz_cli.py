@@ -14,7 +14,7 @@ digit-limit text.
     python tests/fuzz_cli.py --seed N --cases M
 
 runs a campaign and prints each failing argument vector; tier-1 runs a
-fixed-seed slice (``tests/test_report_cli.py``).
+fixed-seed slice and replays :data:`CORPUS` (``tests/test_report_cli.py``).
 """
 
 from __future__ import annotations
@@ -45,6 +45,28 @@ VARIABLES = ["x", "y", "z", "a2", "a3", "a4", "_t", "X"]
 ODD_VARS = ["", ",", "x,", ",x", "x,x", "x y", "1x", " x , y ", "x,y,z,w", "a-b", "é"]
 ODD_NUMBERS = ["", "-", "+", "--", "1/0", "0/0", "3/-2", "inf", "nan", "1.5", ".5e1",
                "1_000", "1__0", "_1", "0x10", "٣", " 7 ", "1e", "e5", "1e_1", "1/2/3"]
+
+# Argument vectors kept from earlier failures.  Tier-1 replays each under
+# the property and checks what it did: its exit (``"usage"`` for argparse's
+# error), its stdout and the last line of its stderr.
+CORPUS = {
+    # Rendering the exceptional divisor's ring Z[t]/(W*W*t^2) passes the
+    # digit limit; the first line (5,057 bytes) used to be printed before it.
+    "blowup-weights-too-long-to-print": (
+        ["blowup", "7" * 2500, "7" * 2500],
+        (2, "", "error: the output has a number too long to print (over 4300 decimal digits)"),
+    ),
+    # argparse strips the second `--` and handed `blowup` an empty list as
+    # w2, refused as a non-positive weight instead of a missing argument.
+    "blowup-dash-dash-as-w2": (
+        ["blowup", "--", "8", "--"],
+        ("usage", "", "wpchow blowup: error: the following arguments are required: w2"),
+    ),
+    "blowup-dash-dash-after-w1": (
+        ["blowup", "8", "--", "--"],
+        ("usage", "", "wpchow blowup: error: the following arguments are required: w2"),
+    ),
+}
 
 
 class CaseTimeout(BaseException):
@@ -169,8 +191,9 @@ def _expire(signum, frame):
     raise CaseTimeout
 
 
-def run_case(argv: list[str]) -> tuple[str | None, float]:
-    """Run one case; return ``(failure, seconds)``, failure ``None`` if it held."""
+def run_case(argv: list[str]) -> tuple[str | None, float, tuple[int | str, str, str]]:
+    """Run one case; return ``(failure, seconds, (exit, stdout, stderr))``,
+    failure ``None`` if the property held."""
     # Imported here: run as a script, this file puts src/ on the path first.
     from wpchow.cli import main
 
@@ -191,11 +214,12 @@ def run_case(argv: list[str]) -> tuple[str | None, float]:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     seconds = time.perf_counter() - start
+    result = (code, out.getvalue(), err.getvalue())
     if code not in (0, 1, 2, "usage"):
-        return str(code), seconds
+        return str(code), seconds, result
     if "set_int_max_str_digits" in err.getvalue():
-        return "the interpreter's digit-limit text", seconds
-    return None, seconds
+        return "the interpreter's digit-limit text", seconds, result
+    return None, seconds, result
 
 
 def campaign(seed: int, cases: int) -> tuple[list[tuple[list[str], str]], float]:
@@ -204,7 +228,7 @@ def campaign(seed: int, cases: int) -> tuple[list[tuple[list[str], str]], float]
     failures, slowest = [], 0.0
     for _ in range(cases):
         argv = generate(rng)
-        failure, seconds = run_case(argv)
+        failure, seconds, _ = run_case(argv)
         slowest = max(slowest, seconds)
         if failure:
             failures.append((argv, failure))

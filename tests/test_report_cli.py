@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import fuzz_cli
+import wpchow
 from wpchow import AssemblyMismatchError, VerificationReport, build_report, cli, m12bar_chow
 from wpchow.cli import main
 
@@ -261,17 +262,20 @@ TOO_LONG_TO_PRINT = "error: the output has a number too long to print (over 4300
         ["chow", "7" * 2500, "7" * 2500],
         ["blowup", "7" * 2500, "7" * 2500],
         ["curve", "normalize", "7" * 3000, "1", "1"],
+        ["curve", "normalize", "7" * 1500, "1", "1"],
         ["curve", "j", "7" * 3000, "1"],
         ["curve", "disc", "7" * 3000, "1", "1"],
     ],
-    ids=["chow", "blowup", "curve-normalize", "curve-j", "curve-disc"],
+    ids=["chow", "blowup", "curve-normalize", "curve-normalize-beta", "curve-j", "curve-disc"],
 )
 def test_cli_results_too_long_to_print_are_refused_briefly(capsys, argv):
     # Each argument reads, but a product of weights or a power of a
     # coefficient passes the limit: chow and blowup ended in a traceback
-    # and exit 1, and curve printed the interpreter's own text.
+    # and exit 1, and curve printed the interpreter's own text.  Nothing
+    # of the answer is printed: blowup printed its first line (5,057
+    # bytes) and `normalize` its alpha line before the failing one.
     assert main(argv) == 2
-    assert capsys.readouterr().err == TOO_LONG_TO_PRINT
+    assert capsys.readouterr() == ("", TOO_LONG_TO_PRINT)
 
 
 def test_cli_fuzz_slice_exits_cleanly():
@@ -279,6 +283,14 @@ def test_cli_fuzz_slice_exits_cleanly():
     # --seed N --cases M` runs longer campaigns.
     failures, _ = fuzz_cli.campaign(seed=0, cases=300)
     assert failures == []
+
+
+@pytest.mark.parametrize("name", list(fuzz_cli.CORPUS))
+def test_cli_fuzz_corpus_replays_as_kept(name):
+    argv, (code, stdout, last_error_line) = fuzz_cli.CORPUS[name]
+    failure, _, (got_code, out, err) = fuzz_cli.run_case(argv)
+    assert failure is None
+    assert (got_code, out, err.splitlines()[-1]) == (code, stdout, last_error_line)
 
 
 def test_cli_huge_exponents_are_refused_before_they_are_expanded(capsys):
@@ -569,11 +581,36 @@ def test_cli_parse_heavy_output_matches_golden(capsys, argv, golden):
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # Together they cost ~25 ms of a ~60 ms cold import of wpchow.cli.
-    code = "import sys, wpchow.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # Together they cost ~25 ms of a ~60 ms cold import of wpchow.cli.  The
+    # library modules, json and fractions load only with a command that
+    # runs them: importing them all took ~11 ms of every cold start.
+    unwanted = {"dataclasses", "inspect", "json", "fractions"}
+    unwanted |= {f"wpchow.{name}" for name in
+                 ("blowup", "curves", "graded", "intlinalg", "poly", "report", "wps")}
+    code = f"import sys, wpchow.cli; print(sorted({sorted(unwanted)!r} & sys.modules.keys()))"
     result = _python("-S", "-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == b"[]"
+
+
+def test_package_names_resolve_on_first_use():
+    # A fresh interpreter: `import wpchow` loads no library module, and each
+    # public name or submodule loads its module when first read.
+    probe = (
+        "import sys, wpchow\n"
+        "assert 'wpchow.graded' not in sys.modules\n"
+        "graded = wpchow.graded\n"
+        "assert graded is sys.modules['wpchow.graded']\n"
+        "assert wpchow.graded_piece is graded.graded_piece\n"
+        "assert set(wpchow.__all__) <= set(dir(wpchow))\n"
+        "namespace = {}\n"
+        "exec('from wpchow import *', namespace)\n"
+        "assert all(namespace[name] is getattr(wpchow, name) for name in wpchow.__all__)\n"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        wpchow.no_such_name
 
 
 @pytest.mark.parametrize(
