@@ -29,10 +29,12 @@ import sys
 import time
 from pathlib import Path
 
-# The slowest accepted case took 2.3 s in a 5,000-case campaign (seed 3)
-# and 2.1 s in a 20,000-case one (seed 8191): a `curve fixed` root search
-# at its 10^15 cap (2-CPU Linux container, Python 3.11).  The limit leaves
-# four times that for a slower host.
+# The slowest accepted case of a 20,000-case campaign (seed 40961) took
+# 2.0 s: `pic-complement` refusing a text that needs over 50,000 term
+# products.  The slowest `curve fixed` case, a root search near its 10^15
+# cap (`curve fixed -- -870599 -825872046939450`), also took 2.0 s when run
+# alone (2-CPU Linux container, Python 3.11).  The limit leaves five times
+# that for a slower host.
 CASE_LIMIT_S = 10.0
 
 # An --output path that cannot be opened: its parent is not a directory.
@@ -46,9 +48,10 @@ ODD_VARS = ["", ",", "x,", ",x", "x,x", "x y", "1x", " x , y ", "x,y,z,w", "a-b"
 ODD_NUMBERS = ["", "-", "+", "--", "1/0", "0/0", "3/-2", "inf", "nan", "1.5", ".5e1",
                "1_000", "1__0", "_1", "0x10", "٣", " 7 ", "1e", "e5", "1e_1", "1/2/3"]
 
-# Argument vectors kept from earlier failures.  Tier-1 replays each under
-# the property and checks what it did: its exit (``"usage"`` for argparse's
-# error), its stdout and the last line of its stderr.
+# Argument vectors kept from earlier failures or changes of behaviour.
+# Tier-1 replays each under the property and checks what it did: its exit
+# (``"usage"`` for argparse's error), its stdout and the last line of its
+# stderr ("" when stderr is empty).
 CORPUS = {
     # Rendering the exceptional divisor's ring Z[t]/(W*W*t^2) passes the
     # digit limit; the first line (5,057 bytes) used to be printed before it.
@@ -65,6 +68,12 @@ CORPUS = {
     "blowup-dash-dash-after-w1": (
         ["blowup", "8", "--", "--"],
         ("usage", "", "wpchow blowup: error: the following arguments are required: w2"),
+    ),
+    # x^3 + 2^61 - 1 has no root modulo 19: answered at once, where the
+    # root search refused it as over its 10^15 limit.
+    "curve-fixed-mersenne-rootless": (
+        ["curve", "fixed", "0", "2305843009213693951"],
+        (0, "no rational fixed points\n", ""),
     ),
 }
 
@@ -103,6 +112,18 @@ def _rational(rng: random.Random) -> str:
         exponent = rng.choice(["3", "-2", "15", "4299", "4300", "4301", "10000000", "1_0"])
         return f"{sign}{mantissa}{rng.choice('eE')}{exponent}"
     return rng.choice(ODD_NUMBERS)
+
+
+def _large_fixed_pair(rng: random.Random) -> list[str]:
+    """beta4 and beta6 for `curve fixed`, |beta6| log-uniform in 10^14..10^19,
+    half of them with a constructed integer root r (beta6 = -r^3 - beta4*r)."""
+    beta4 = rng.randint(-10**6, 10**6)
+    if rng.random() < 0.5:
+        beta6 = rng.choice((1, -1)) * round(10 ** rng.uniform(14, 19))
+    else:
+        root = rng.choice((1, -1)) * round(10 ** rng.uniform(14 / 3, 19 / 3))
+        beta6 = -root**3 - beta4 * root
+    return [str(beta4), str(beta6)]
 
 
 def _term(rng: random.Random, depth: int) -> str:
@@ -164,6 +185,8 @@ def generate(rng: random.Random) -> list[str]:
                                   ("fixed", 2)])
         argv = ["curve", name]
         positional = [_rational(rng) for _ in range(count + rng.choice([0] * 9 + [-1, 1]))]
+        if name == "fixed" and rng.random() < 0.5:
+            positional = _large_fixed_pair(rng)
     elif command == "pic-complement":
         text = _poly_text(rng)
         argv = ["pic-complement", "--poly", text]
@@ -222,14 +245,22 @@ def run_case(argv: list[str]) -> tuple[str | None, float, tuple[int | str, str, 
     return None, seconds, result
 
 
-def campaign(seed: int, cases: int) -> tuple[list[tuple[list[str], str]], float]:
-    """Failures of ``cases`` cases drawn from ``seed``, and the slowest case's time."""
+def _shown(argv: list[str]) -> list[str]:
+    return [value if len(value) <= 60 else f"<{len(value)} chars: {value[:20]}...>"
+            for value in argv]
+
+
+def campaign(
+    seed: int, cases: int
+) -> tuple[list[tuple[list[str], str]], tuple[float, list[str]]]:
+    """Failures of ``cases`` cases drawn from ``seed``, and the slowest case's
+    time and argument vector."""
     rng = random.Random(seed)
-    failures, slowest = [], 0.0
+    failures, slowest = [], (0.0, [])
     for _ in range(cases):
         argv = generate(rng)
         failure, seconds, _ = run_case(argv)
-        slowest = max(slowest, seconds)
+        slowest = max(slowest, (seconds, argv))
         if failure:
             failures.append((argv, failure))
     return failures, slowest
@@ -241,13 +272,12 @@ def _main(arguments: list[str]) -> int:
     parser.add_argument("--cases", type=int, default=1000)
     options = parser.parse_args(arguments)
     start = time.perf_counter()
-    failures, slowest = campaign(options.seed, options.cases)
+    failures, (slowest, slowest_argv) = campaign(options.seed, options.cases)
     for argv, failure in failures:
-        shown = [value if len(value) <= 60 else f"<{len(value)} chars: {value[:20]}...>"
-                 for value in argv]
-        print(f"FAIL {failure}: {shown}")
+        print(f"FAIL {failure}: {_shown(argv)}")
     print(f"seed {options.seed}: {options.cases} cases, {len(failures)} failed, "
-          f"slowest {slowest:.3f} s, wall {time.perf_counter() - start:.1f} s")
+          f"slowest {slowest:.3f} s {_shown(slowest_argv)}, "
+          f"wall {time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
 
 

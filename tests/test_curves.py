@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import textwrap
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -31,6 +34,7 @@ from wpchow import (
 )
 
 from oracles import rational_roots_by_divisor_search
+from wpchow import curves
 from wpchow.cli import main
 
 
@@ -293,11 +297,13 @@ def test_mu2_fixed_points_match_the_divisor_search_oracle():
 @pytest.mark.parametrize(
     "beta4, beta6, expected",
     [
-        # no rational root: the search runs to isqrt|c0| = 1 and over the
-        # divisors of c3 = 6^10, not up to the isqrt of 6^20
+        # no rational root: the sieve answers, as X^3 + 6^20 has no root
+        # modulo 13, before any pass over the divisors of c3 = 6^10
         (0, Fraction(1, 6**10), []),
+        # a root: the pass runs to isqrt|c0| = 1 and over the divisors of
+        # c3 = 6^9, not up to the isqrt of 6^18
         (0, Fraction(-1, 6**9), [(Fraction(1, 216), 1)]),
-        # a prime denominator: only its own divisors are listed
+        # a prime denominator and no rational root: the sieve answers too
         (0, Fraction(1, 10**9 + 7), []),
         # roots 10^4/6^5, 5*10^3/6^5 and -1.5*10^4/6^5
         (
@@ -321,23 +327,138 @@ def test_mu2_fixed_points_large_roots_and_denominators_are_found_quickly(
 @pytest.mark.parametrize(
     "short",
     [
-        ShortWeierstrass(0, 2**61 - 1),
+        # the one rational root is 10^6
+        ShortWeierstrass(0, -(10**18)),
         ShortWeierstrass(0, Fraction(1, 10**30)),
-        ShortWeierstrass(0, 10**15 + 37),
+        # root 1, with c0 = 10^15 + 37
+        ShortWeierstrass(-(10**15 + 38), 10**15 + 37),
     ],
-    ids=["mersenne", "tiny-beta6", "just-over"],
+    ids=["root-1e6", "tiny-beta6", "just-over-with-root"],
 )
 def test_mu2_fixed_points_refuse_a_search_over_the_limit_at_once(short):
+    # Each has a rational root, so the sieve lets it through to the limit.
     start = time.perf_counter()
     with pytest.raises(ValueError, match="at most 10\\^15"):
         mu2_fixed_points(short)
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize(
+    "short",
+    [ShortWeierstrass(0, 2**61 - 1), ShortWeierstrass(0, 10**15 + 37)],
+    ids=["mersenne", "just-over"],
+)
+def test_mu2_fixed_points_answer_a_rootless_cubic_over_the_limit_at_once(short):
+    # No root modulo 19, and modulo 13: the sieve answers before the limit.
+    start = time.perf_counter()
+    assert mu2_fixed_points(short) == []
+    assert time.perf_counter() - start < 0.1
+
+
 def test_cli_curve_fixed_over_the_limit_exits_2_at_once(capsys):
     start = time.perf_counter()
-    assert main(["curve", "fixed", "0", "2305843009213693951"]) == 2
+    assert main(["curve", "fixed", "--", "0", "-1000000000000000000"]) == 2
     assert time.perf_counter() - start < 0.1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "10^15" in captured.err
+
+
+def test_cli_curve_fixed_rootless_over_the_limit_exits_0_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["curve", "fixed", "0", "2305843009213693951"]) == 0
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr() == ("no rational fixed points\n", "")
+
+
+# -- the small-prime sieve in front of the root search ---------------------------
+
+
+def _integer_model(beta4, beta6):
+    """(c3, c1, c0) of the primitive integer model c3*x^3 + c1*x + c0."""
+    c3 = lcm(beta4.denominator, beta6.denominator)
+    return c3, int(beta4 * c3), int(beta6 * c3)
+
+
+def _cubic_with_roots(r1, r2):
+    """(beta4, beta6) of the depressed cubic with roots r1, r2, -(r1 + r2)."""
+    r3 = -r1 - r2
+    return r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+
+
+def _smooth_denominator(rng):
+    exponents = (rng.randint(0, 6), rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 2))
+    return 2 ** exponents[0] * 3 ** exponents[1] * 5 ** exponents[2] * 7 ** exponents[3]
+
+
+def test_sieve_keeps_cubics_with_constructed_rational_roots():
+    # Denominators from 2, 3, 5 and 7 make c3 divisible by sieve primes,
+    # where only the monic model X = c3*x keeps the root.
+    rng = random.Random(97)
+    for _ in range(1_500):
+        r1, r2 = (
+            Fraction(rng.randint(-10**6, 10**6), _smooth_denominator(rng)) for _ in range(2)
+        )
+        beta4, beta6 = _cubic_with_roots(r1, r2)
+        assert not curves._rootless_modulo_a_small_prime(*_integer_model(beta4, beta6))
+
+
+def test_sieve_keeps_cubics_whose_roots_are_all_even():
+    # Modulo 2 each of these is X^3, whose only root is X = 0.
+    rng = random.Random(101)
+    for _ in range(1_500):
+        r1, r2 = (2 * rng.randint(-5 * 10**5, 5 * 10**5) for _ in range(2))
+        beta4, beta6 = _cubic_with_roots(r1, r2)
+        assert not curves._rootless_modulo_a_small_prime(1, beta4, beta6)
+
+
+def test_sieve_settles_nearly_every_random_cubic():
+    # Random cubics almost never have a rational root; the first 20 primes
+    # settle 19,988 of these 20,000 (the 12 left have none either).
+    rng = random.Random(2027)
+    settled = 0
+    for _ in range(20_000):
+        beta4 = rng.randint(-10**6, 10**6)
+        beta6 = rng.choice((1, -1)) * round(10 ** rng.uniform(7, 13))
+        settled += curves._rootless_modulo_a_small_prime(1, beta4, beta6)
+    assert settled >= 19_980
+
+
+SIEVE_MUTANTS = {
+    "zero-residue-skipped": (
+        "range(p)",
+        "range(1, p)",
+        test_sieve_keeps_cubics_whose_roots_are_all_even,
+    ),
+    "primitive-model-sieved": (
+        "x * x * x + b * x + c",
+        "c3 * x * x * x + c1 * x + c0",
+        test_sieve_keeps_cubics_with_constructed_rational_roots,
+    ),
+    "any-in-place-of-all": (
+        "all(",
+        "any(",
+        test_sieve_keeps_cubics_whose_roots_are_all_even,
+    ),
+}
+
+
+def _sieve(snippet, replacement):
+    """``_rootless_modulo_a_small_prime`` rebuilt from its source with one change."""
+    source = textwrap.dedent(inspect.getsource(curves._rootless_modulo_a_small_prime))
+    assert source.count(snippet) == 1
+    namespace = dict(vars(curves))
+    exec(source.replace(snippet, replacement), namespace)
+    return namespace["_rootless_modulo_a_small_prime"]
+
+
+@pytest.mark.parametrize("name", sorted(SIEVE_MUTANTS))
+def test_sieve_mutants_fail_their_named_tests(monkeypatch, name):
+    snippet, replacement, victim = SIEVE_MUTANTS[name]
+    unchanged, mutant = _sieve(snippet, snippet), _sieve(snippet, replacement)
+    # The sieve rebuilt unchanged passes, so a failure is the mutant's.
+    monkeypatch.setattr(curves, "_rootless_modulo_a_small_prime", unchanged)
+    victim()
+    monkeypatch.setattr(curves, "_rootless_modulo_a_small_prime", mutant)
+    with pytest.raises(AssertionError):
+        victim()

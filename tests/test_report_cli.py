@@ -290,7 +290,7 @@ def test_cli_fuzz_corpus_replays_as_kept(name):
     argv, (code, stdout, last_error_line) = fuzz_cli.CORPUS[name]
     failure, _, (got_code, out, err) = fuzz_cli.run_case(argv)
     assert failure is None
-    assert (got_code, out, err.splitlines()[-1]) == (code, stdout, last_error_line)
+    assert (got_code, out, err.splitlines()[-1] if err else "") == (code, stdout, last_error_line)
 
 
 def test_cli_huge_exponents_are_refused_before_they_are_expanded(capsys):
