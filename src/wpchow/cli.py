@@ -156,7 +156,8 @@ def _cmd_blowup(args) -> int:
             f"  compactified 2-pointed moduli: {moduli.m12bar.render()}",
             *_piece_lines(moduli.m12bar, args.max_degree),
             f"  open 2-pointed moduli: {moduli.m12open.render()}",
-            f"    degreewise equal to Z[t]/(12*t) up to degree {args.max_degree}",
+            f"    degreewise equal to Z[t]/({moduli.pic.character_weight}*t) "
+            f"up to degree {args.max_degree}",
             f"  restriction map verified: {image_text}",
         ]))
     return 0 if ok else 1

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Mapping, Optional, Union
 
 Coeff = Union[int, Fraction]
@@ -315,14 +316,7 @@ class Poly:
     def __pow__(self, power: int) -> "Poly":
         if not isinstance(power, int) or power < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = Poly.constant(1)
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base if power > 1 else base
-            power >>= 1
-        return result
+        return _square_and_multiply(self, power, Poly.constant(1), mul)
 
     # -- equality and hashing --------------------------------------------
 
@@ -418,7 +412,14 @@ def weighted_degree(poly: Poly, grading: Mapping[str, int]) -> int:
 # CPython 3.11 on a 2-CPU Linux container (squaring "(x+1)^128", 16,641
 # products, takes 0.09-0.11 s): one parse may spend at most this many, about
 # a third of a second, so "(x+1)^2000" or "(x+y+1)^200" fails in 0.15-0.2 s
-# instead of running for minutes.
+# instead of running for minutes.  A product of an a-bit and a b-bit
+# coefficient counts as 1 + (a + b) // 2^14 + a*b // 2^22 of them: copying
+# and adding coefficients is linear in their size, multiplying them at
+# most quadratic.  Against ~4-6 us for small coefficients, a term product
+# took, on the same host, ~12 us at 2,048 x 2,048 bits (counted 2), ~22 us
+# at 4,096 x 4,096 (5), ~55 us at 8,192 x 8,192 (18), ~450 us at 32,768 x
+# 32,768 (261), ~27 us at 65,000 x 8 (4) and ~86 us at 65,000 x 1,024
+# (20); one of at most 2,047 bits a side still counts 1.
 _PRODUCT_BUDGET = 50_000
 # Coefficients may reach this many bits through products and powers, so
 # "2^1000000000000" fails instead of exhausting memory.
@@ -464,7 +465,8 @@ class _Parser:
     multiplied in.  A pair's exponent map belongs to the term being built
     and is updated in place.  Every product, of pairs or of polynomials, is
     charged to the budget as the ``Poly`` product it stands for: the
-    product of the numbers of terms, after the same coefficient-size check.
+    product of the numbers of terms, weighed by the bits of the largest
+    coefficient on each side, with the same coefficient-size check.
     """
 
     def __init__(self, text: str):
@@ -554,8 +556,9 @@ class _Parser:
             return _poly(inner)
         raise ValueError(f"unexpected token {token!r}")
 
-    def charge(self, products: int, bits: int) -> None:
-        self.budget -= products
+    def charge(self, products: int, left_bits: int, right_bits: int) -> None:
+        bits = left_bits + right_bits
+        self.budget -= products * (1 + (bits >> 14) + (left_bits * right_bits >> 22))
         if self.budget < 0:
             raise ValueError(
                 f"polynomial text needs more than {_PRODUCT_BUDGET} term products to expand"
@@ -569,7 +572,7 @@ class _Parser:
         """``left * right`` for two pairs or polynomials, charged."""
         if left.__class__ is Poly or right.__class__ is Poly:
             left, right = _as_poly(left), _as_poly(right)
-            self.charge(len(left) * len(right), _coefficient_bits(left) + _coefficient_bits(right))
+            self.charge(len(left) * len(right), _coefficient_bits(left), _coefficient_bits(right))
             return left * right
         (a, exps), (b, right_exps) = left, right
         for name, exp in right_exps.items():
@@ -578,7 +581,7 @@ class _Parser:
 
     def scale(self, a: Coeff, b: Coeff) -> Coeff:
         """The coefficient product ``a * b`` of two pairs, charged."""
-        self.charge(1 if a and b else 0, _bits(a) + _bits(b))
+        self.charge(1 if a and b else 0, _bits(a), _bits(b))
         return a * b
 
     def power(self, base, exponent: int) -> Poly | tuple[Coeff, dict[str, int]]:
@@ -592,7 +595,7 @@ class _Parser:
         if coeff == 1:
             # Every step multiplies 1 by 1: one term product each, and no
             # coefficient can grow.
-            self.charge(exponent.bit_count() + exponent.bit_length() - 1, 0)
+            self.charge(exponent.bit_count() + exponent.bit_length() - 1, 0, 0)
         else:
             coeff = _square_and_multiply(coeff, exponent, 1, self.scale)
         return coeff, {name: exp * exponent for name, exp in exps.items()}

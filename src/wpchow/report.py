@@ -179,13 +179,13 @@ class SharedValues:
     @cached_property
     def _m12bar_outcome(self) -> Union[GradedPresentation, AssemblyMismatchError]:
         try:
-            return m12bar_chow(self.bound)
+            return m12bar_chow()
         except AssemblyMismatchError as exc:
             return exc
 
     @property
     def m12bar(self) -> GradedPresentation:
-        """``m12bar_chow(bound)``.  A failed assembly is kept as well and
+        """``m12bar_chow()``.  A failed assembly is kept as well and
         raised to every reader: ``cached_property`` keeps nothing when its
         getter raises."""
         outcome = self._m12bar_outcome

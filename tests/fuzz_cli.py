@@ -75,6 +75,15 @@ CORPUS = {
         ["curve", "fixed", "0", "2305843009213693951"],
         (0, "no rational fixed points\n", ""),
     ),
+    # Squaring a 161-term polynomial of ~8,000-bit coefficients: refused
+    # after 1.4-2.0 s when every term product counted 1 against the parse
+    # budget, and in 0.17-0.26 s once products are weighed by coefficient size.
+    "pic-complement-large-coefficient-products": (
+        ["pic-complement", "--poly",
+         "a4 - (z^99) - (((_t*z)^1*(783234324225179)^40 * (X*z + z)^40)^40*a4 - (1)^3)^2 + z",
+         "--vars", ",", "5", "10", "10", "11"],
+        (2, "", "error: polynomial text needs more than 50000 term products to expand"),
+    ),
 }
 
 

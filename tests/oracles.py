@@ -12,16 +12,33 @@ over monomials found by filtering the exponent box, and polynomial text
 is parsed with one ``Poly`` product per factor.  Rational roots of a
 polynomial come from a divisor search over every p/q candidate of the
 rational root theorem, with synthetic division.
+
+:func:`rebuilt` is no oracle: it builds the source mutants that show a
+check can fail.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
 from wpchow.poly import _COEFFICIENT_BITS, _PRODUCT_BUDGET, Monomial, Poly
+
+
+def rebuilt(function, snippet: str, replacement: str):
+    """``function`` rebuilt from its source in its module's namespace, with
+    ``snippet`` replaced.  The snippet must occur exactly once, so a
+    rewrite of the function has to update or retire its mutants on purpose."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(snippet) == 1
+    namespace = dict(vars(sys.modules[function.__module__]))
+    exec(source.replace(snippet, replacement), namespace)
+    return namespace[function.__name__]
 
 
 def mat_mul(a, b):
@@ -251,8 +268,8 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
 
 def parse_by_products(text: str) -> Poly:
     """Parse polynomial text with one ``Poly`` per factor and one ``Poly``
-    product per ``*`` and per squaring step, under the same product budget
-    and coefficient-size limit as ``wpchow.poly.parse_poly``."""
+    product per ``*`` and per squaring step, under the same weighed product
+    budget and coefficient-size limit as ``wpchow.poly.parse_poly``."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -328,17 +345,19 @@ class _ProductParser:
         return result
 
     def multiply(self, left, right):
-        self.budget -= len(left) * len(right)
-        if self.budget < 0:
-            raise ValueError(
-                f"polynomial text needs more than {_PRODUCT_BUDGET} term products to expand"
-            )
-        bits = sum(
+        # Each term product counts 1 + (a + b) // 2^14 + a*b // 2^22, for the
+        # largest coefficients of a and b bits on either side.
+        a, b = (
             max((max(c.numerator.bit_length(), c.denominator.bit_length()) for _, c in p.terms()),
                 default=0)
             for p in (left, right)
         )
-        if bits > _COEFFICIENT_BITS:
+        self.budget -= len(left) * len(right) * (1 + (a + b) // 2**14 + a * b // 2**22)
+        if self.budget < 0:
+            raise ValueError(
+                f"polynomial text needs more than {_PRODUCT_BUDGET} term products to expand"
+            )
+        if a + b > _COEFFICIENT_BITS:
             raise ValueError(
                 f"polynomial text has coefficients of more than {_COEFFICIENT_BITS} bits"
             )

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import invariant_basis_by_box, invariant_vectors_brute, monoid_closure
+from oracles import invariant_basis_by_box, invariant_vectors_brute, monoid_closure, rebuilt
 from wpchow import (
     AbelianGroupShape,
     AssemblyMismatchError,
@@ -32,6 +33,7 @@ from wpchow import (
     same_ideal,
     split_pieces,
     unkilled_relations,
+    weighted_degree,
 )
 from wpchow import blowup
 from wpchow.cli import main
@@ -201,10 +203,88 @@ def test_check_split_assembly_detects_corruption():
         [("x", 1), ("y", 1)], ["x*y", "23*x^2 + 24*y^2"]
     )
     with pytest.raises(AssemblyMismatchError):
-        check_split_assembly(corrupted, 8)
+        check_split_assembly(corrupted)
     dropped = GradedPresentation.make([("x", 1), ("y", 1)], ["x*y"])
     with pytest.raises(AssemblyMismatchError):
-        check_split_assembly(dropped, 8)
+        check_split_assembly(dropped)
+
+
+def _xy_ring(*relations):
+    return GradedPresentation.make([("x", 1), ("y", 1)], relations)
+
+
+def test_check_split_assembly_requires_xy_in_the_ideal():
+    # x*y need only lie in the ideal: these relations generate the ideal of
+    # m12bar_chow() without listing x*y.
+    blowup.check_split_assembly(_xy_ring("x*y + 24*x^2 + 24*y^2", "24*x^2 + 24*y^2"))
+    with pytest.raises(AssemblyMismatchError, match=r"^x\*y is not in the ideal of"):
+        blowup.check_split_assembly(_xy_ring("24*x^2 + 24*y^2"))
+
+
+def test_check_split_assembly_compares_past_degree_2():
+    # Both degree-2 relations pass the split-image check and the pieces
+    # agree up to degree 2; the cubic relation first shows in degree 3.
+    cubic = _xy_ring("x*y", "24*x^2 + 24*y^2", "12*x^3 + 12*y^3")
+    assert unkilled_relations(cubic) == []
+    assert [graded_piece(cubic, n) for n in range(3)] == split_pieces(2)
+    with pytest.raises(
+        AssemblyMismatchError,
+        match="degree 3: presentation gives Z/12 x Z/24, split decomposition gives Z/24 x Z/24",
+    ):
+        blowup.check_split_assembly(cubic)
+
+
+# Source mutants of check_split_assembly (built by ``oracles.rebuilt``): the
+# snippet, its replacement and the test above that must fail.
+ASSEMBLY_MUTANTS = {
+    "xy-requirement-skipped": (
+        'if not is_zero(GradedElement.of(presentation, "x*y")):',
+        "if False:",
+        test_check_split_assembly_requires_xy_in_the_ideal,
+    ),
+    "compare-only-up-to-degree-2": (
+        "split_pieces(top + 1)",
+        "split_pieces(2)",
+        test_check_split_assembly_compares_past_degree_2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_MUTANTS))
+def test_assembly_mutants_fail_their_named_tests(monkeypatch, name):
+    snippet, replacement, victim = ASSEMBLY_MUTANTS[name]
+    check = blowup.check_split_assembly
+    unchanged, mutant = rebuilt(check, snippet, snippet), rebuilt(check, snippet, replacement)
+    # The check rebuilt unchanged passes, so a failure is the mutant's.
+    monkeypatch.setattr(blowup, "check_split_assembly", unchanged)
+    victim()
+    monkeypatch.setattr(blowup, "check_split_assembly", mutant)
+    # pytest.raises fails with pytest's own exception when nothing is raised.
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
+        victim()
+
+
+def test_pieces_of_a_ring_with_xy_are_constant_above_its_relation_degrees():
+    # The argument check_split_assembly rests on: with x*y in the ideal,
+    # every piece above the largest relation degree D is the piece in
+    # degree D + 1.
+    x, y = Poly.variable("x"), Poly.variable("y")
+    rng = random.Random(301)
+    for _ in range(300):
+        relations = [x * y]
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.randint(1, 5)
+            relations.append(
+                sum((rng.randint(-12, 12) * x**i * y ** (degree - i) for i in range(degree + 1)),
+                    Poly.zero())
+            )
+        ring = _xy_ring(*relations)
+        top = max(weighted_degree(r, ring.grading) for r in relations if r)
+        stable = graded_piece(ring, top + 1)
+        assert all(graded_piece(ring, n) == stable for n in range(top + 2, top + 13)), ring
+    # D alone does not settle the pieces: degree 2 reads Z, degree 3 on 0.
+    pieces = [str(graded_piece(_xy_ring("x*y", "x^2 - y^2"), n)) for n in range(16)]
+    assert pieces == ["Z", "Z^2", "Z"] + ["0"] * 13
 
 
 def test_unkilled_relations():
@@ -214,8 +294,10 @@ def test_unkilled_relations():
     )
     # x^2 -> (t, t^2) and y^2 - x^2 -> (-2t, -t^2) survive; x^3 is not of degree 2
     assert unkilled_relations(mixed) == [parse_poly("x^2"), parse_poly("y^2 - x^2")]
-    with pytest.raises(AssemblyMismatchError, match="relation x\\^2 does not vanish"):
-        check_split_assembly(GradedPresentation.make([("x", 1), ("y", 1)], ["x^2"]), 0)
+    # Its pieces match the split decomposition in every degree; only the
+    # split images refuse it.
+    with pytest.raises(AssemblyMismatchError, match=r"relation 24\*x\^2 - 24\*y\^2 does not vanish"):
+        check_split_assembly(_xy_ring("x*y", "24*x^2 - 24*y^2"))
     with pytest.raises(ValueError, match="expects generators"):
         unkilled_relations(GradedPresentation.make([("t", 1)], ["24*t^2"]))
 

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import inspect
 import random
-import textwrap
 import time
 from fractions import Fraction
 from math import lcm
@@ -33,7 +31,7 @@ from wpchow import (
     weighted_degree,
 )
 
-from oracles import rational_roots_by_divisor_search
+from oracles import rational_roots_by_divisor_search, rebuilt
 from wpchow import curves
 from wpchow.cli import main
 
@@ -443,19 +441,11 @@ SIEVE_MUTANTS = {
 }
 
 
-def _sieve(snippet, replacement):
-    """``_rootless_modulo_a_small_prime`` rebuilt from its source with one change."""
-    source = textwrap.dedent(inspect.getsource(curves._rootless_modulo_a_small_prime))
-    assert source.count(snippet) == 1
-    namespace = dict(vars(curves))
-    exec(source.replace(snippet, replacement), namespace)
-    return namespace["_rootless_modulo_a_small_prime"]
-
-
 @pytest.mark.parametrize("name", sorted(SIEVE_MUTANTS))
 def test_sieve_mutants_fail_their_named_tests(monkeypatch, name):
     snippet, replacement, victim = SIEVE_MUTANTS[name]
-    unchanged, mutant = _sieve(snippet, snippet), _sieve(snippet, replacement)
+    sieve = curves._rootless_modulo_a_small_prime
+    unchanged, mutant = rebuilt(sieve, snippet, snippet), rebuilt(sieve, snippet, replacement)
     # The sieve rebuilt unchanged passes, so a failure is the mutant's.
     monkeypatch.setattr(curves, "_rootless_modulo_a_small_prime", unchanged)
     victim()

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import inspect
 import random
-import textwrap
 import time
 from fractions import Fraction
 from math import gcd
@@ -18,6 +16,7 @@ from oracles import (
     in_row_lattice_brute,
     invariant_factors_via_minor_gcds,
     mat_mul,
+    rebuilt,
     relation_rows_by_products,
 )
 from wpchow import (
@@ -560,9 +559,8 @@ def test_fill_in_is_cleared_by_a_later_pivot():
     assert cokernel([[-1, 2], [2, 0], [1, -1]], 2) == AbelianGroupShape.trivial()
 
 
-# Source mutants of the unit-pivot loop: the snippet, its replacement and the
-# test above that must fail.  A snippet must occur exactly once, so a rewrite
-# of the loop has to update or retire its mutant on purpose.
+# Source mutants of the unit-pivot loop (built by ``oracles.rebuilt``): the
+# snippet, its replacement and the test above that must fail.
 UNIT_PIVOT_MUTANTS = {
     "two-is-a-unit": (
         "if value == 1 or value == -1:",
@@ -577,19 +575,11 @@ UNIT_PIVOT_MUTANTS = {
 }
 
 
-def _unit_pivot_loop(snippet, replacement):
-    """``_eliminate_unit_pivots`` rebuilt from its source with one change."""
-    source = textwrap.dedent(inspect.getsource(_eliminate_unit_pivots))
-    assert source.count(snippet) == 1
-    namespace = dict(vars(intlinalg))
-    exec(source.replace(snippet, replacement), namespace)
-    return namespace["_eliminate_unit_pivots"]
-
-
 @pytest.mark.parametrize("name", sorted(UNIT_PIVOT_MUTANTS))
 def test_unit_pivot_mutants_fail_their_named_tests(monkeypatch, name):
     snippet, replacement, victim = UNIT_PIVOT_MUTANTS[name]
-    unchanged, mutant = _unit_pivot_loop(snippet, snippet), _unit_pivot_loop(snippet, replacement)
+    unchanged = rebuilt(_eliminate_unit_pivots, snippet, snippet)
+    mutant = rebuilt(_eliminate_unit_pivots, snippet, replacement)
     # The loop rebuilt unchanged passes, so a failure is the mutant's.
     monkeypatch.setattr(intlinalg, "_eliminate_unit_pivots", unchanged)
     victim()
