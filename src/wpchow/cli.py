@@ -37,7 +37,7 @@ __all__ = ["main", "run"]
 MAX_INVARIANT_BOUND = 600
 # verify-paper --bound and the --max-degree of chow and blowup compute graded
 # pieces up to that degree, also about 5x the time per doubling: verify-paper
-# takes ~0.4 s at 200 and ~2.1 s at 400, blowup 4 6 ~0.2 s at 200.
+# takes ~0.1 s at 200 and ~0.55 s at 400, blowup 4 6 ~0.07 s at 200.
 MAX_DEGREE = 200
 
 

@@ -12,33 +12,16 @@ over monomials found by filtering the exponent box, and polynomial text
 is parsed with one ``Poly`` product per factor.  Rational roots of a
 polynomial come from a divisor search over every p/q candidate of the
 rational root theorem, with synthetic division.
-
-:func:`rebuilt` is no oracle: it builds the source mutants that show a
-check can fail.
 """
 
 from __future__ import annotations
 
-import inspect
 import re
-import sys
-import textwrap
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
 from wpchow.poly import _COEFFICIENT_BITS, _PRODUCT_BUDGET, Monomial, Poly
-
-
-def rebuilt(function, snippet: str, replacement: str):
-    """``function`` rebuilt from its source in its module's namespace, with
-    ``snippet`` replaced.  The snippet must occur exactly once, so a
-    rewrite of the function has to update or retire its mutants on purpose."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(snippet) == 1
-    namespace = dict(vars(sys.modules[function.__module__]))
-    exec(source.replace(snippet, replacement), namespace)
-    return namespace[function.__name__]
 
 
 def mat_mul(a, b):

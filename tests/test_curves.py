@@ -31,7 +31,7 @@ from wpchow import (
     weighted_degree,
 )
 
-from oracles import rational_roots_by_divisor_search, rebuilt
+from oracles import rational_roots_by_divisor_search
 from wpchow import curves
 from wpchow.cli import main
 
@@ -420,35 +420,3 @@ def test_sieve_settles_nearly_every_random_cubic():
         beta6 = rng.choice((1, -1)) * round(10 ** rng.uniform(7, 13))
         settled += curves._rootless_modulo_a_small_prime(1, beta4, beta6)
     assert settled >= 19_980
-
-
-SIEVE_MUTANTS = {
-    "zero-residue-skipped": (
-        "range(p)",
-        "range(1, p)",
-        test_sieve_keeps_cubics_whose_roots_are_all_even,
-    ),
-    "primitive-model-sieved": (
-        "x * x * x + b * x + c",
-        "c3 * x * x * x + c1 * x + c0",
-        test_sieve_keeps_cubics_with_constructed_rational_roots,
-    ),
-    "any-in-place-of-all": (
-        "all(",
-        "any(",
-        test_sieve_keeps_cubics_whose_roots_are_all_even,
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SIEVE_MUTANTS))
-def test_sieve_mutants_fail_their_named_tests(monkeypatch, name):
-    snippet, replacement, victim = SIEVE_MUTANTS[name]
-    sieve = curves._rootless_modulo_a_small_prime
-    unchanged, mutant = rebuilt(sieve, snippet, snippet), rebuilt(sieve, snippet, replacement)
-    # The sieve rebuilt unchanged passes, so a failure is the mutant's.
-    monkeypatch.setattr(curves, "_rootless_modulo_a_small_prime", unchanged)
-    victim()
-    monkeypatch.setattr(curves, "_rootless_modulo_a_small_prime", mutant)
-    with pytest.raises(AssertionError):
-        victim()

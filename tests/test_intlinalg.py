@@ -16,7 +16,6 @@ from oracles import (
     in_row_lattice_brute,
     invariant_factors_via_minor_gcds,
     mat_mul,
-    rebuilt,
     relation_rows_by_products,
 )
 from wpchow import (
@@ -557,35 +556,6 @@ def test_fill_in_is_cleared_by_a_later_pivot():
     assert intlinalg._eliminate_unit_pivots(rows) == 2
     assert rows == [{}, {}, {}]
     assert cokernel([[-1, 2], [2, 0], [1, -1]], 2) == AbelianGroupShape.trivial()
-
-
-# Source mutants of the unit-pivot loop (built by ``oracles.rebuilt``): the
-# snippet, its replacement and the test above that must fail.
-UNIT_PIVOT_MUTANTS = {
-    "two-is-a-unit": (
-        "if value == 1 or value == -1:",
-        "if value in (1, -1, 2, -2):",
-        test_an_entry_of_two_beside_a_unit_is_not_a_pivot,
-    ),
-    "fill-in-not-registered": (
-        "holders[j].add(k)",
-        "pass",
-        test_fill_in_is_cleared_by_a_later_pivot,
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(UNIT_PIVOT_MUTANTS))
-def test_unit_pivot_mutants_fail_their_named_tests(monkeypatch, name):
-    snippet, replacement, victim = UNIT_PIVOT_MUTANTS[name]
-    unchanged = rebuilt(_eliminate_unit_pivots, snippet, snippet)
-    mutant = rebuilt(_eliminate_unit_pivots, snippet, replacement)
-    # The loop rebuilt unchanged passes, so a failure is the mutant's.
-    monkeypatch.setattr(intlinalg, "_eliminate_unit_pivots", unchanged)
-    victim()
-    monkeypatch.setattr(intlinalg, "_eliminate_unit_pivots", mutant)
-    with pytest.raises(AssertionError):
-        victim()
 
 
 # -- pivots equal to 1 split off between Hermite passes ------------------------
