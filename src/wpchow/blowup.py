@@ -26,10 +26,9 @@ consequences:
 
 Every assembled presentation is checked against that split
 decomposition in every degree, by comparing finitely many pieces: its
-ideal contains x*y, so above its largest relation degree each piece
-equals the next one, and each side of the decomposition is a
-one-generator ring, constant above its own largest relation degree (see
-:func:`check_split_assembly`).  A disagreement raises
+ideal contains x*y, and each side of the decomposition is a one-generator
+ring, so each of the three has constant pieces above its largest relation
+degree (see :func:`wpchow.graded.graded_piece`).  A disagreement raises
 :class:`AssemblyMismatchError` and signals an implementation bug.
 
 Recorded fact, used by no computation here: on the Zariski chart of
@@ -120,14 +119,27 @@ def _invariant_hilbert_basis(
     Candidates are tested in increasing total degree: a reducible vector
     lies componentwise above some irreducible of smaller degree, all of
     which are already in the basis.
+
+    When every free weight is positive and the last one negative, the last
+    entry of a head is at least ceil(degree / |last|) and grows with every
+    extension of the head, so a head is dropped as soon as its total plus
+    that is over the bound: the entry e for weight w stops at
+    (|last| * (bound - total) - degree) // (w + |last|).
     """
     *free_weights, last = weights
+    prune = last < 0 < min(free_weights, default=0)
+
+    def top(total: int, degree: int, weight: int) -> int:
+        if prune:
+            return (-last * (bound - total) - degree) // (weight - last)
+        return bound - total
+
     heads = [((), 0, 0)]  # (free entries, their total, their weighted degree)
     for weight in free_weights:
         heads = [
             (head + (e,), total + e, degree + weight * e)
             for head, total, degree in heads
-            for e in range(bound - total + 1)
+            for e in range(top(total, degree, weight) + 1)
         ]
     invariants = []
     for head, total, degree in heads:
@@ -284,18 +296,15 @@ def check_split_assembly(presentation: GradedPresentation) -> None:
     """Check a candidate total-space presentation in every degree, raising
     :class:`AssemblyMismatchError` on a mismatch.
 
-    The candidate must have x*y in its ideal.  Then, modulo the mixed
-    monomials of degree n >= 1, which x*y kills, a relation of degree
-    d_i reads a_i*x^(d_i) + b_i*y^(d_i), and the degree-n piece is Z^2 on
-    {x^n, y^n} modulo rows from each relation: (a_i, b_i) if d_i = n, and
-    (a_i, 0) and (0, b_i), through x^(n-d_i) and y^(n-d_i), if d_i < n.
-    So every piece above the largest relation degree D equals the piece
-    in degree D + 1.  Each side of the split decomposition is a
-    one-generator ring Z[t]/(c_i*t^(k_i)) with t of degree 1, whose
-    pieces are constant from its largest k_i on.  Comparing the pieces
-    with :func:`split_pieces` for n <= 1 + the largest relation degree of
-    the three presentations therefore compares them in every degree.
-    Equal pieces do not make the split images kill the relations, so
+    The candidate must have x*y in its ideal.  Then its pieces above its
+    largest relation degree D equal the piece in degree D + 1, and each
+    side of the split decomposition is a one-generator ring whose pieces
+    are constant from its largest relation degree on: both are argued in
+    :func:`wpchow.graded.graded_piece`.  Comparing the pieces with
+    :func:`split_pieces` for n <= 1 + the largest relation degree of the
+    three presentations therefore compares them in every degree, and
+    never reaches the degree that ``graded_piece`` clamps to.  Equal
+    pieces do not make the split images kill the relations, so
     :func:`unkilled_relations` must then be empty as well.
     """
     _require_xy(presentation)

@@ -30,14 +30,16 @@ from .version import __version__
 
 __all__ = ["main", "run"]
 
-# The invariant-ring check enumerates the degree box, about 5x the time per
-# doubling of the bound: ~0.03 s at 300, ~0.2 s at 600 and ~1 s at 1200.
-# (These and the figures below are in-process times on a 2-CPU Linux
-# container, Python 3.11.)
+# The invariant-ring check enumerates the heads that fit the bound, about
+# 4.5x the time per doubling of it: ~0.02 s at 300, ~0.09 s at 600 and
+# ~0.4 s at 1200.  (These and the figures below are in-process times on a
+# 2-CPU Linux container, Python 3.11.)
 MAX_INVARIANT_BOUND = 600
-# verify-paper --bound and the --max-degree of chow and blowup compute graded
-# pieces up to that degree, also about 5x the time per doubling: verify-paper
-# takes ~0.1 s at 200 and ~0.55 s at 400, blowup 4 6 ~0.07 s at 200.
+# verify-paper --bound and the --max-degree of chow and blowup print graded
+# pieces up to that degree.  Each ring they print has one generator or
+# contains x*y, so graded_piece reads its pieces off the relations and the
+# cap bounds the output: verify-paper takes ~10 ms at 200 and ~13 ms at 400,
+# blowup 4 6 ~3 ms at 200.
 MAX_DEGREE = 200
 
 

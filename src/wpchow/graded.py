@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -267,10 +268,42 @@ def _graded_piece_cached(presentation: GradedPresentation, degree: int) -> Abeli
     return _sparse_cokernel(rows, len(basis))
 
 
+# The layout terms of the relations u*v and -u*v on two generators.
+_UNIT_PRODUCTS = frozenset({(((1, 1), 1),), (((1, 1), -1),)})
+
+
 def graded_piece(presentation: GradedPresentation, degree: int) -> AbelianGroupShape:
-    """The degree-``degree`` component as an abelian group shape."""
+    """The degree-``degree`` component as an abelian group shape.
+
+    Two shapes of presentation are answered by rule:
+
+    * One generator t of degree w, relations c_i*t^(k_i): the piece is 0
+      unless w divides ``degree``, and else Z/gcd{c_i : w*k_i <= degree},
+      which is Z when no relation qualifies.  Cost: O(relations) at any
+      degree, with no matrix.
+    * Two generators u, v of degree 1 with u*v or -u*v among the
+      relations.  Modulo u*v, which kills every mixed monomial of degree
+      n >= 2, a relation of degree d_i reads a_i*u^(d_i) + b_i*v^(d_i),
+      and the piece of degree n is Z^2 on {u^n, v^n} modulo (a_i, b_i) if
+      d_i = n, and (a_i, 0) and (0, b_i), through u^(n-d_i) and
+      v^(n-d_i), if d_i < n.  So every piece above the largest relation
+      degree D equals the piece in degree D + 1, and the degree is
+      clamped to D + 1 first.  Cost: the relation lattice up to degree
+      D + 1 only.
+
+    Any other presentation eliminates the relation lattice of the degree
+    itself, at a cost of about the cube of the degree.
+    """
     if degree < 0:
         raise ValueError("degree must be non-negative")
+    _, degrees, relations = presentation._layout
+    if len(degrees) == 1:
+        if degree % degrees[0]:
+            return AbelianGroupShape.trivial()
+        order = gcd(*(terms[0][1] for rel_degree, terms in relations if rel_degree <= degree))
+        return AbelianGroupShape.cyclic(order)
+    if degrees == (1, 1) and any(terms in _UNIT_PRODUCTS for _, terms in relations):
+        degree = min(degree, 1 + max(rel_degree for rel_degree, _ in relations))
     return _graded_piece_cached(presentation, degree)
 
 

@@ -134,7 +134,11 @@ class VerificationReport:
     def parse_json(cls, text: str) -> "VerificationReport":
         import json
 
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("report JSON is nested too deeply") from None
+        return cls.from_json_dict(data)
 
     def render_text(self) -> str:
         lines = [

@@ -127,18 +127,29 @@ MUTANTS = {  # id: (function, snippet, replacement, victims)
         ["test_graded::test_renamed_pieces_enumerate_their_basis_once"],
     ),
     "one-generator-piece-z12-as-z6": (
-        graded._graded_piece_cached,
-        "return _sparse_cokernel(rows, len(basis))",
-        "piece = _sparse_cokernel(rows, len(basis)); return AbelianGroupShape.cyclic(6) "
-        "if len(presentation.generators) == 1 and piece == AbelianGroupShape.cyclic(12) else piece",
+        graded.graded_piece,
+        "AbelianGroupShape.cyclic(order)", "AbelianGroupShape.cyclic(6 if order == 12 else order)",
         [{"two-point-complement", "m12-open-ring"}],
     ),
     "one-generator-piece-z24-as-z12": (
-        graded._graded_piece_cached,
-        "return _sparse_cokernel(rows, len(basis))",
-        "piece = _sparse_cokernel(rows, len(basis)); return AbelianGroupShape.cyclic(12) "
-        "if len(presentation.generators) == 1 and piece == AbelianGroupShape.cyclic(24) else piece",
+        graded.graded_piece,
+        "AbelianGroupShape.cyclic(order)", "AbelianGroupShape.cyclic(12 if order == 24 else order)",
         [{"cusp-complement"}],
+    ),
+    "one-generator-last-relation-only": (
+        graded.graded_piece,
+        "terms in relations if", "terms in relations[-1:] if",
+        [{"m12-open-ring", "m12-open-degree-1"}, "test_graded::test_the_piece_rules_match_the_lattice"],
+    ),
+    "xy-stable-from-D": (
+        graded.graded_piece,
+        "1 + max(", "max(",
+        [{"m12bar-pieces"}, "test_graded::test_the_piece_rules_match_the_lattice"],
+    ),
+    "xy-rule-without-product": (
+        graded.graded_piece,
+        " and any(terms in _UNIT_PRODUCTS for _, terms in relations)", "",
+        ["test_graded::test_two_generator_rings_without_a_unit_product_take_the_lattice"],
     ),
     "same-ideal-one-way": (
         graded.same_ideal,
@@ -400,15 +411,18 @@ def test_only_the_split_decomposition_computes_an_expected_value(monkeypatch):
     # An expected value computed by the code it checks hides a fault that
     # hits both sides alike.  Every expected value is recorded, except the
     # split decomposition over P(4,6) and U, which reads other rings than
-    # the one m12bar-assembly checks.
+    # the one m12bar-assembly checks.  Every piece, read off by rule or
+    # eliminated, comes from graded_piece, wherever it is bound.
     calls = []
-    original = graded._graded_piece_cached
+    original = graded.graded_piece
 
     def counting(presentation, degree):
         calls.append(presentation)
         return original(presentation, degree)
 
-    monkeypatch.setattr(graded, "_graded_piece_cached", counting)
+    for module in _modules():
+        if vars(module).get("graded_piece") is original:
+            monkeypatch.setattr(module, "graded_piece", counting)
     values = report.SharedValues(8)
     computing = set()
     for entry in report._IDENTITIES:

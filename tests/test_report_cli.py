@@ -68,6 +68,12 @@ def test_report_json_roundtrip(fixture, request):
     assert all(isinstance(item["expected"], str) for item in payload["items"])
 
 
+def test_report_parse_json_refuses_deep_nesting():
+    # json.loads raises RecursionError at this depth.
+    with pytest.raises(ValueError, match="nested too deeply"):
+        VerificationReport.parse_json("[" * 100000 + "]" * 100000)
+
+
 def test_report_roundtrip_rejects_bad_summary(report):
     payload = report.to_json_dict()
     payload["summary"]["fail"] = 99
@@ -592,6 +598,23 @@ def test_cli_parse_heavy_output_matches_golden(capsys, argv, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify-paper", "--bound", "200", "--format", "json"], "verify-paper-bound200.json"),
+        (["blowup", "4", "6", "--max-degree", "200"], "blowup-4-6-degree200.txt"),
+        (["chow", "2", "3", "4", "--max-degree", "200"], "chow-2-3-4-degree200.txt"),
+    ],
+    ids=["verify-paper-bound200", "blowup-4-6-degree200", "chow-2-3-4-degree200"],
+)
+def test_cli_high_degree_output_matches_golden(capsys, argv, golden):
+    # These outputs were made by eliminating the relation lattice of every
+    # piece, so they show that graded_piece's rules for one-generator and
+    # x*y rings give the lattice's answers up to degree 200.
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # Together they cost ~25 ms of a ~60 ms cold import of wpchow.cli.  The
     # library modules, json and fractions load only with a command that
@@ -690,7 +713,7 @@ def test_cli_verify_paper_unwritable_output_is_an_error(tmp_path, capsys):
     ids=["verify-paper-bound", "chow-max-degree", "blowup-max-degree"],
 )
 def test_cli_degree_flags_are_capped(capsys, argv, flag):
-    # The graded pieces cost about the cube of the degree: over 10 s at 400.
+    # The cap bounds the lines printed, and a refused degree prints none.
     start = time.perf_counter()
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
