@@ -6,6 +6,7 @@
 fields are the class annotations in order, class attributes of the same
 name are defaults, and ``__post_init__`` (if defined) validates or
 normalizes after the fields are set, using ``object.__setattr__``.
+:func:`field` reads one field of a record's JSON form.
 """
 
 from __future__ import annotations
@@ -83,3 +84,12 @@ def frozen_record(cls):
         if method.__name__ not in cls.__dict__:
             setattr(cls, method.__name__, method)
     return cls
+
+
+def field(data, name: str):
+    """``data[name]`` for a record's JSON loader: a missing field is a
+    ``ValueError`` that names it, not a ``KeyError``."""
+    try:
+        return data[name]
+    except KeyError:
+        raise ValueError(f"missing field {name!r}") from None

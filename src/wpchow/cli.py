@@ -9,6 +9,16 @@ assembly for weights 4 6), ``curve`` (the marked Weierstrass pipeline),
 Rational arguments parse as ``p/q``; use ``--`` before negative values,
 e.g. ``wpchow curve fixed -- -3 2``.
 
+Every command and argument is declared once, in ``_COMMANDS``.
+:func:`build_parser` builds argparse's tree from that table, and argparse
+prints every help, usage and error text.  A well-formed command line is
+read straight off the table instead, through the same type functions and
+choices: the command words, each declared option at most once, and one
+unbroken run of positionals.  Anything else (help, ``--version``, ``--``,
+``--name=value``, an abbreviation, a repeated option, a refused value) is
+left to argparse, and so is a value out of range.  So ``argparse``,
+``gettext`` and ``locale`` load only for help, ``--version`` and errors.
+
 The ``_cmd_*`` functions only compute and print, and each imports the
 library modules it runs, so a cold process loads no more of the package
 than its command needs.  :func:`main` alone turns a failure into its
@@ -18,11 +28,11 @@ message and exit code (README, "Command line"); the one local handler is
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import re
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from ._errors import AssemblyMismatchError, SingularCurveError
@@ -43,14 +53,20 @@ MAX_INVARIANT_BOUND = 600
 MAX_DEGREE = 200
 
 
+def _refusal(message: str) -> Exception:
+    """argparse's error for a value that a type function refuses.  argparse
+    is imported here, on the error path, where it prints the message."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
+
+
 def _refuse_digits(digits: int) -> None:
     """Refuse a number of more digits than the interpreter converts (4,300
     by default; 0 means no limit), in the words of ``parse_poly``."""
     limit = sys.get_int_max_str_digits()
     if limit and digits > limit:
-        raise argparse.ArgumentTypeError(
-            f"a number of {digits} digits, over the limit of {limit}"
-        )
+        raise _refusal(f"a number of {digits} digits, over the limit of {limit}")
 
 
 def _refuse_long_number(text: str) -> None:
@@ -61,21 +77,21 @@ def _refuse_long_number(text: str) -> None:
 # ``Fraction`` reads "1e10000000" by building 10**10000000, which takes
 # seconds (and "1e100000000" minutes), so the digits that a mantissa and
 # its exponent spell out are counted before it is called.
-_EXPONENT_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE][-+]?(\d[\d_]*)\s*")
+_EXPONENT_FORM = r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE][-+]?(\d[\d_]*)\s*"
 
 
 def _fraction(text: str):
     from fractions import Fraction
 
     _refuse_long_number(text)
-    scientific = _EXPONENT_FORM.fullmatch(text)
+    scientific = re.fullmatch(_EXPONENT_FORM, text)
     if scientific:
         whole, decimals, exponent = (part.replace("_", "") for part in scientific.groups(""))
         _refuse_digits(len(whole) + len(decimals) + int(exponent))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        raise _refusal(f"not a rational number: {text!r}") from exc
 
 
 def _integer(text: str) -> int:
@@ -83,25 +99,14 @@ def _integer(text: str) -> int:
         return int(text)
     except ValueError as exc:
         _refuse_long_number(text)
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        raise _refusal(f"not an integer: {text!r}") from exc
 
 
 def _positive_int(text: str) -> int:
     value = _integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("value must be a positive integer")
+        raise _refusal("value must be a positive integer")
     return value
-
-
-class _OneValue(argparse.Action):
-    """Store a single-value positional.  Python 3.11's argparse strips a
-    second ``--`` from the value it matched and hands the action an empty
-    list (``wpchow blowup 8 -- --``); that is the positional left out."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if values == []:
-            parser.error(f"the following arguments are required: {self.dest}")
-        setattr(namespace, self.dest, values)
 
 
 def _piece_lines(presentation, max_degree: int) -> list:
@@ -244,97 +249,193 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The one declaration of the commands.  A row is (name, help, handler,
+# arguments): the handler is the command's ``_cmd_*`` function, or for
+# ``curve`` the rows of its subcommands; an argument is a name and
+# argparse's keywords for it.  A name that starts with "--" is an option,
+# any other a positional of one value, or of ``nargs`` values ("+": one
+# or more).
+_MAX_DEGREE_OPTION = ("--max-degree", {
+    "type": _integer,
+    "default": 8,
+    "help": f"highest degree of the graded pieces (at most {MAX_DEGREE})",
+})
+_WEIGHTS = ("weights", {"nargs": "+", "type": _positive_int, "metavar": "WEIGHT"})
+_COMMANDS = (
+    ("chow", "Chow ring of a weighted projective stack", _cmd_chow,
+     (_WEIGHTS, _MAX_DEGREE_OPTION)),
+    ("blowup", "weighted blow-up data and charts", _cmd_blowup, (
+        ("w1", {"type": _positive_int}),
+        ("w2", {"type": _positive_int}),
+        _MAX_DEGREE_OPTION,
+        ("--invariant-bound", {
+            "type": _positive_int,
+            "default": 15,
+            "help": f"total degree bound of the invariant ring check (at most {MAX_INVARIANT_BOUND})",
+        }),
+    )),
+    ("curve", "marked Weierstrass pipeline", tuple(
+        (name, description, _cmd_curve,
+         (("values", {"nargs": count, "type": _fraction, "metavar": "RATIONAL"}),))
+        for name, count, description in (
+            ("normalize", 3, "complete (a2, a3, a4) to short Weierstrass form"),
+            ("disc", 3, "discriminant of intermediate coordinates (alpha2, alpha3, alpha4)"),
+            ("j", 2, "j-invariant of short coefficients (beta4, beta6)"),
+            ("iso", 6, "rational scaling between two marked cubics"),
+            ("fixed", 2, "rational fixed points of y -> -y on the fiber"),
+        )
+    ), ()),
+    ("pic-complement", "Picard group of a weighted hypersurface complement",
+     _cmd_pic_complement, (
+        _WEIGHTS,
+        ("--poly", {"required": True, "help": "defining polynomial, e.g. '4*a4^3 + ...'"}),
+        ("--vars", {
+            "help": "comma-separated variables matched to the weights "
+            "(default: the polynomial's variables in sorted order)",
+        }),
+    )),
+    ("verify-paper", "run the full identity suite", _cmd_verify, (
+        ("--bound", {"type": _integer, "default": 8, "help": f"truncation degree (4 to {MAX_DEGREE})"}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+        ("--output", {"help": "write the report to this path"}),
+        ("--self-test", {
+            "action": "store_true",
+            "help": "corrupt one relation coefficient; the run must report a failure",
+        }),
+    )),
+)
+
+
+def build_parser():
+    """argparse's tree of ``_COMMANDS``, under ``--version``."""
+    import argparse
+
+    class OneValue(argparse.Action):
+        """Store a single-value positional.  Python 3.11's argparse strips a
+        second ``--`` from the value it matched and hands the action an empty
+        list (``wpchow blowup 8 -- --``); that is the positional left out."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                parser.error(f"the following arguments are required: {self.dest}")
+            setattr(namespace, self.dest, values)
+
+    def add(subparsers, rows) -> None:
+        for name, description, handler, arguments in rows:
+            command = subparsers.add_parser(name, help=description)
+            if isinstance(handler, tuple):
+                add(command.add_subparsers(dest=f"{name}_command", required=True), handler)
+                continue
+            for argument, keywords in arguments:
+                if not argument.startswith("-") and "nargs" not in keywords:
+                    keywords = {**keywords, "action": OneValue}
+                command.add_argument(argument, **keywords)
+            command.set_defaults(func=handler)
+
     parser = argparse.ArgumentParser(
         prog="wpchow",
         description="Exact Chow-ring and Weierstrass-pipeline computations.",
     )
     parser.add_argument("--version", action="version", version=f"wpchow {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    chow = sub.add_parser("chow", help="Chow ring of a weighted projective stack")
-    chow.add_argument("weights", nargs="+", type=_positive_int, metavar="WEIGHT")
-    chow.add_argument(
-        "--max-degree",
-        type=_integer,
-        default=8,
-        help=f"highest degree of the graded pieces (at most {MAX_DEGREE})",
-    )
-    chow.set_defaults(func=_cmd_chow)
-
-    blowup = sub.add_parser("blowup", help="weighted blow-up data and charts")
-    blowup.add_argument("w1", type=_positive_int, action=_OneValue)
-    blowup.add_argument("w2", type=_positive_int, action=_OneValue)
-    blowup.add_argument(
-        "--max-degree",
-        type=_integer,
-        default=8,
-        help=f"highest degree of the graded pieces (at most {MAX_DEGREE})",
-    )
-    blowup.add_argument(
-        "--invariant-bound",
-        type=_positive_int,
-        default=15,
-        help=f"total degree bound of the invariant ring check (at most {MAX_INVARIANT_BOUND})",
-    )
-    blowup.set_defaults(func=_cmd_blowup)
-
-    curve = sub.add_parser("curve", help="marked Weierstrass pipeline")
-    curve_sub = curve.add_subparsers(dest="curve_command", required=True)
-    for name, count, description in (
-        ("normalize", 3, "complete (a2, a3, a4) to short Weierstrass form"),
-        ("disc", 3, "discriminant of intermediate coordinates (alpha2, alpha3, alpha4)"),
-        ("j", 2, "j-invariant of short coefficients (beta4, beta6)"),
-        ("iso", 6, "rational scaling between two marked cubics"),
-        ("fixed", 2, "rational fixed points of y -> -y on the fiber"),
-    ):
-        command = curve_sub.add_parser(name, help=description)
-        command.add_argument(
-            "values", nargs=count, type=_fraction, metavar="RATIONAL"
-        )
-        command.set_defaults(func=_cmd_curve)
-
-    pic = sub.add_parser(
-        "pic-complement",
-        help="Picard group of a weighted hypersurface complement",
-    )
-    pic.add_argument("weights", nargs="+", type=_positive_int, metavar="WEIGHT")
-    pic.add_argument("--poly", required=True, help="defining polynomial, e.g. '4*a4^3 + ...'")
-    pic.add_argument(
-        "--vars",
-        help="comma-separated variables matched to the weights "
-        "(default: the polynomial's variables in sorted order)",
-    )
-    pic.set_defaults(func=_cmd_pic_complement)
-
-    verify = sub.add_parser("verify-paper", help="run the full identity suite")
-    verify.add_argument(
-        "--bound", type=_integer, default=8, help=f"truncation degree (4 to {MAX_DEGREE})"
-    )
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--output", help="write the report to this path")
-    verify.add_argument(
-        "--self-test",
-        action="store_true",
-        help="corrupt one relation coefficient; the run must report a failure",
-    )
-    verify.set_defaults(func=_cmd_verify)
+    add(parser.add_subparsers(dest="command", required=True), _COMMANDS)
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _read(argv: list) -> Optional[SimpleNamespace]:
+    """What ``build_parser().parse_args(argv)`` returns, read straight off
+    ``_COMMANDS``; None where ``argv`` is not plain.
+
+    Plain is: the command words, then each declared option at most once,
+    as ``--name value`` or a flag alone, before or after one unbroken run
+    of positionals of the declared count.  No other token may start with
+    "-", nor may an option's value, and every value must pass its type
+    function and choices.  Any other command line is argparse's to read or
+    refuse, with its own message.
+    """
+    if not all(isinstance(token, str) for token in argv):
+        return None
+    found, handler, dest, at = {}, _COMMANDS, "command", 0
+    while isinstance(handler, tuple):
+        word = argv[at] if at < len(argv) else None
+        row = next((row for row in handler if row[0] == word), None)
+        if row is None:
+            return None
+        name, _, handler, arguments = row
+        found[dest], dest, at = name, f"{name}_command", at + 1
+    options = {name: keywords for name, keywords in arguments if name.startswith("-")}
+    given, words, run_closed = {}, [], False
+    tokens = iter(argv[at:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if run_closed:
+                return None
+            words.append(token)
+            continue
+        if token not in options or token in given:
+            return None
+        run_closed = bool(words)
+        if options[token].get("action") != "store_true":
+            given[token] = next(tokens, "-")
+            if given[token].startswith("-"):
+                return None
+        else:
+            given[token] = None
+
+    def convert(text: str, keywords: dict):
+        value = keywords.get("type", str)(text)
+        if "choices" in keywords and value not in keywords["choices"]:
+            raise ValueError(f"{value!r} is not a choice")
+        return value
+
+    try:
+        for name, keywords in arguments:
+            if name in options:
+                flag = keywords.get("action") == "store_true"
+                if name in given:
+                    value = flag or convert(given[name], keywords)
+                elif keywords.get("required"):
+                    return None
+                else:
+                    value = keywords.get("default", False if flag else None)
+                found[name[2:].replace("-", "_")] = value
+                continue
+            nargs = keywords.get("nargs")
+            count = len(words) if nargs == "+" else nargs or 1
+            if not 0 < count <= len(words):
+                return None
+            values = [convert(word, keywords) for word in words[:count]]
+            del words[:count]
+            found[name] = values if nargs else values[0]
+    except Exception:
+        # The type function or choices refuse the value; argparse says how.
+        return None
+    if words:
+        return None
+    found["func"] = handler
+    return SimpleNamespace(**found)
+
+
+def _out_of_range(args) -> Optional[str]:
+    """The message of the first range check that ``args`` fails, or None."""
     if args.command == "verify-paper" and args.bound < 4:
-        parser.error("--bound must be at least 4")
+        return "--bound must be at least 4"
     if args.command == "verify-paper" and args.bound > MAX_DEGREE:
-        parser.error(f"--bound must be at most {MAX_DEGREE}")
+        return f"--bound must be at most {MAX_DEGREE}"
     if getattr(args, "max_degree", 0) < 0:
-        parser.error("--max-degree must be non-negative")
+        return "--max-degree must be non-negative"
     if getattr(args, "max_degree", 0) > MAX_DEGREE:
-        parser.error(f"--max-degree must be at most {MAX_DEGREE}")
+        return f"--max-degree must be at most {MAX_DEGREE}"
     if getattr(args, "invariant_bound", 0) > MAX_INVARIANT_BOUND:
-        parser.error(f"--invariant-bound must be at most {MAX_INVARIANT_BOUND}")
+        return f"--invariant-bound must be at most {MAX_INVARIANT_BOUND}"
+    return None
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
+    problem = _out_of_range(args)
+    if problem:
+        build_parser().error(problem)
     try:
         try:
             code = args.func(args)

@@ -21,7 +21,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from ._record import frozen_record
+from ._record import field, frozen_record
 from .intlinalg import AbelianGroupShape, _solve_sparse, _sparse_cokernel
 from .poly import (
     _IDENTIFIER,
@@ -150,8 +150,10 @@ class GradedPresentation:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GradedPresentation":
-        generators = tuple((g["name"], g["degree"]) for g in data["generators"])
-        relations = tuple(parse_poly(text) for text in data["relations"])
+        generators = tuple(
+            (field(g, "name"), field(g, "degree")) for g in field(data, "generators")
+        )
+        relations = tuple(parse_poly(text) for text in field(data, "relations"))
         return cls(generators, relations)
 
 

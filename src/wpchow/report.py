@@ -24,7 +24,7 @@ from functools import cached_property
 from operator import index
 from typing import Callable, Mapping, Union
 
-from ._record import frozen_record
+from ._record import field, frozen_record
 from .blowup import (
     MODULI_AMBIENT,
     MODULI_BLOWUP,
@@ -101,7 +101,7 @@ class VerificationReport:
             "version": self.version,
             "bound": self.bound,
             "items": [
-                {field: getattr(item, field) for field in _ITEM_FIELDS}
+                {name: getattr(item, name) for name in _ITEM_FIELDS}
                 for item in self.items
             ],
             "summary": {"pass": self.passed, "fail": self.failed},
@@ -115,17 +115,19 @@ class VerificationReport:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "VerificationReport":
         items = tuple(
-            ReportItem(*(entry[field] for field in _ITEM_FIELDS)) for entry in data["items"]
+            ReportItem(*(field(entry, name) for name in _ITEM_FIELDS))
+            for entry in field(data, "items")
         )
         report = cls(
-            schema=index(data["schema"]),
-            version=data["version"],
-            bound=index(data["bound"]),
+            schema=index(field(data, "schema")),
+            version=field(data, "version"),
+            bound=index(field(data, "bound")),
             items=items,
         )
         summary = data.get("summary")
         if summary is not None and (
-            index(summary["pass"]) != report.passed or index(summary["fail"]) != report.failed
+            index(field(summary, "pass")) != report.passed
+            or index(field(summary, "fail")) != report.failed
         ):
             raise ValueError("summary counts are inconsistent with the items")
         return report

@@ -9,7 +9,9 @@ with its output captured, under a ``signal.setitimer`` limit; no thread
 or subprocess is started.  The property: ``main`` returns 0, 1 or 2, or
 argparse exits with ``SystemExit(2)``; nothing else escapes, no case
 runs past the limit and no error repeats the interpreter's own
-digit-limit text.
+digit-limit text.  And ``main``'s direct reader either leaves the case
+to argparse or reads it as argparse does (:func:`reader_disagreement`);
+some cases spell their options as only argparse reads them.
 
     python tests/fuzz_cli.py --seed N --cases M
 
@@ -172,22 +174,40 @@ def _poly_text(rng: random.Random) -> str:
     return text
 
 
-def _flag(rng: random.Random, argv: list[str], flag: str, values: list[str]) -> None:
+def _flag(rng: random.Random, options: list[list[str]], flag: str, values: list[str]) -> None:
     if rng.random() < 0.4:
-        argv += [flag, rng.choice(values)]
+        options.append([flag, rng.choice(values)])
+
+
+def _respell(rng: random.Random, options: list[list[str]]) -> list[list[str]]:
+    """The options with one of them written as argparse reads it and the
+    direct reader does not: as ``--name=value``, abbreviated or given twice."""
+    at = rng.randrange(len(options))
+    flag, *value = options[at]
+    roll = rng.random()
+    if roll < 0.35 and value:
+        spelled = [[f"{flag}={value[0]}"]]
+    elif roll < 0.7:
+        spelled = [[flag[:rng.randint(3, len(flag) - 1)], *value]]
+    else:
+        spelled = [options[at], options[at]]
+    return options[:at] + spelled + options[at + 1:]
 
 
 def generate(rng: random.Random) -> list[str]:
-    """One argument vector; values that start with ``-`` follow a ``--``."""
+    """One argument vector; values that start with ``-`` follow a ``--``.
+    One case in ten respells an option, and one in ten puts the options
+    after the positionals."""
     command = rng.choice(["chow", "blowup", "curve", "curve", "pic-complement", "verify-paper"])
+    options: list[list[str]] = []
     if command == "chow":
         argv = ["chow"]
-        _flag(rng, argv, "--max-degree", DEGREE_EDGES)
+        _flag(rng, options, "--max-degree", DEGREE_EDGES)
         positional = [_integer(rng) for _ in range(rng.randint(1, 4))]
     elif command == "blowup":
         argv = ["blowup"]
-        _flag(rng, argv, "--max-degree", DEGREE_EDGES)
-        _flag(rng, argv, "--invariant-bound", INVARIANT_EDGES)
+        _flag(rng, options, "--max-degree", DEGREE_EDGES)
+        _flag(rng, options, "--invariant-bound", INVARIANT_EDGES)
         positional = [_integer(rng) for _ in range(rng.choice([2, 2, 2, 1, 3]))]
     elif command == "curve":
         name, count = rng.choice([("normalize", 3), ("disc", 3), ("j", 2), ("iso", 6),
@@ -198,9 +218,9 @@ def generate(rng: random.Random) -> list[str]:
             positional = _large_fixed_pair(rng)
     elif command == "pic-complement":
         text = _poly_text(rng)
-        argv = ["pic-complement", "--poly", text]
+        argv, options = ["pic-complement"], [["--poly", text]]
         if rng.random() < 0.3:
-            argv += ["--vars", rng.choice(ODD_VARS + [",".join(VARIABLES[:2])])]
+            options.append(["--vars", rng.choice(ODD_VARS + [",".join(VARIABLES[:2])])])
         # Mostly one weight per variable that the text names.
         count = len({name for name in VARIABLES if name in text})
         if rng.random() < 0.2 or not count:
@@ -208,15 +228,38 @@ def generate(rng: random.Random) -> list[str]:
         positional = [_integer(rng) for _ in range(count)]
     else:
         argv = ["verify-paper"]
-        _flag(rng, argv, "--bound", DEGREE_EDGES)
-        _flag(rng, argv, "--format", ["text", "json", "xml"])
-        _flag(rng, argv, "--output", [UNWRITABLE, os.devnull])
+        _flag(rng, options, "--bound", DEGREE_EDGES)
+        _flag(rng, options, "--format", ["text", "json", "xml"])
+        _flag(rng, options, "--output", [UNWRITABLE, os.devnull])
         if rng.random() < 0.2:
-            argv.append("--self-test")
+            options.append(["--self-test"])
         positional = []
-    if any(value.startswith("-") for value in positional):
-        argv.append("--")
-    return argv + positional
+    dash = ["--"] if any(value.startswith("-") for value in positional) else []
+    roll = rng.random()
+    if options and roll < 0.1:
+        options = _respell(rng, options)
+    flat = [token for option in options for token in option]
+    if roll > 0.9 and not dash:
+        return argv + positional + flat
+    return argv + flat + dash + positional
+
+
+def reader_disagreement(argv: list[str]) -> str | None:
+    """None if ``main``'s direct reader leaves ``argv`` to argparse, or reads
+    it as ``build_parser().parse_args`` does (the same ``vars``, ``func``
+    included); otherwise how they differ."""
+    from wpchow import cli
+
+    read = cli._read(list(argv))
+    if read is None:
+        return None
+    try:
+        parsed = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        return "the direct reader reads what argparse refuses"
+    if vars(read) != vars(parsed):
+        return "the direct reader and argparse read different values"
+    return None
 
 
 def _expire(signum, frame):
@@ -230,11 +273,13 @@ def run_case(argv: list[str]) -> tuple[str | None, float, tuple[int | str, str, 
     from wpchow.cli import main
 
     out, err = io.StringIO(), io.StringIO()
+    disagreement = None
     previous = signal.signal(signal.SIGALRM, _expire)
     start = time.perf_counter()
     try:
         signal.setitimer(signal.ITIMER_REAL, CASE_LIMIT_S)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            disagreement = reader_disagreement(argv)
             code = main(argv)
     except SystemExit as exc:
         code = "usage" if exc.code == 2 else f"SystemExit({exc.code!r})"
@@ -249,6 +294,8 @@ def run_case(argv: list[str]) -> tuple[str | None, float, tuple[int | str, str, 
     result = (code, out.getvalue(), err.getvalue())
     if code not in (0, 1, 2, "usage"):
         return str(code), seconds, result
+    if disagreement:
+        return disagreement, seconds, result
     if "set_int_max_str_digits" in err.getvalue():
         return "the interpreter's digit-limit text", seconds, result
     return None, seconds, result
@@ -259,15 +306,19 @@ def _shown(argv: list[str]) -> list[str]:
             for value in argv]
 
 
+def draw(seed: int, cases: int) -> list[list[str]]:
+    """The argument vectors of a campaign of ``cases`` cases on ``seed``."""
+    rng = random.Random(seed)
+    return [generate(rng) for _ in range(cases)]
+
+
 def campaign(
     seed: int, cases: int
 ) -> tuple[list[tuple[list[str], str]], tuple[float, list[str]]]:
     """Failures of ``cases`` cases drawn from ``seed``, and the slowest case's
     time and argument vector."""
-    rng = random.Random(seed)
     failures, slowest = [], (0.0, [])
-    for _ in range(cases):
-        argv = generate(rng)
+    for argv in draw(seed, cases):
         failure, seconds, _ = run_case(argv)
         slowest = max(slowest, (seconds, argv))
         if failure:

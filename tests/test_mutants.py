@@ -23,7 +23,7 @@ from importlib import import_module
 import pytest
 
 import wpchow
-from wpchow import blowup, build_report, curves, graded, intlinalg, report, wps
+from wpchow import blowup, build_report, cli, curves, graded, intlinalg, report, wps
 
 MUTANTS = {  # id: (function, snippet, replacement, victims)
     # Integer linear algebra (intlinalg.py).
@@ -300,6 +300,22 @@ MUTANTS = {  # id: (function, snippet, replacement, victims)
         blowup.m12_open_chow,
         "GradedElement.of(u_ring, degree * t, 1)", "GradedElement.of(u_ring, 2 * degree * t, 1)",
         [{"m12-open-ring", "m12-open-degree-1", "restriction-hom"}],
+    ),
+    # The command line's direct reader (cli.py).
+    "reader-skips-choices": (
+        cli._read,
+        'if "choices" in keywords and value not in keywords["choices"]:', "if False:",
+        ["test_report_cli::test_the_direct_reader_reads_as_argparse_or_declines"],
+    ),
+    "reader-joins-positional-runs": (
+        cli._read,
+        "if run_closed:", "if False:",
+        ["test_report_cli::test_the_direct_reader_reads_as_argparse_or_declines"],
+    ),
+    "reader-takes-a-repeated-option": (
+        cli._read,
+        "if token not in options or token in given:", "if token not in options:",
+        ["test_report_cli::test_the_direct_reader_reads_as_argparse_or_declines"],
     ),
 }
 

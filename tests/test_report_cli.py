@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import importlib
 import json
@@ -15,7 +16,14 @@ import pytest
 
 import fuzz_cli
 import wpchow
-from wpchow import AssemblyMismatchError, VerificationReport, build_report, cli, m12bar_chow
+from wpchow import (
+    AssemblyMismatchError,
+    GradedPresentation,
+    VerificationReport,
+    build_report,
+    cli,
+    m12bar_chow,
+)
 from wpchow.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +80,19 @@ def test_report_parse_json_refuses_deep_nesting():
     # json.loads raises RecursionError at this depth.
     with pytest.raises(ValueError, match="nested too deeply"):
         VerificationReport.parse_json("[" * 100000 + "]" * 100000)
+
+
+def test_json_loaders_name_a_missing_field():
+    # Each of these raised a KeyError.
+    for load, missing in (
+        (lambda: VerificationReport.parse_json("{}"), "items"),
+        (lambda: VerificationReport.parse_json(
+            '{"schema": 1, "version": "x", "bound": 4, "items": [{}]}'), "id"),
+        (lambda: GradedPresentation.from_json_dict({"generators": [{}], "relations": []}), "name"),
+        (lambda: GradedPresentation.from_json_dict({}), "generators"),
+    ):
+        with pytest.raises(ValueError, match=f"missing field '{missing}'"):
+            load()
 
 
 def test_report_roundtrip_rejects_bad_summary(report):
@@ -287,11 +308,91 @@ def test_cli_results_too_long_to_print_are_refused_briefly(capsys, argv):
     assert capsys.readouterr() == ("", TOO_LONG_TO_PRINT)
 
 
+# The tier-1 slice of the grammar fuzzer: its seed and number of cases.
+FUZZ_SLICE = (0, 300)
+
+
 def test_cli_fuzz_slice_exits_cleanly():
     # A fixed-seed slice of the grammar fuzzer; `python tests/fuzz_cli.py
     # --seed N --cases M` runs longer campaigns.
-    failures, _ = fuzz_cli.campaign(seed=0, cases=300)
+    failures, _ = fuzz_cli.campaign(*FUZZ_SLICE)
     assert failures == []
+
+
+def _constant(node: ast.AST):
+    """The value of an expression of constants joined by + and *."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult)):
+        left, right = _constant(node.left), _constant(node.right)
+        return left + right if isinstance(node.op, ast.Add) else left * right
+    raise ValueError("not a constant")
+
+
+def _argv_in_this_file() -> list[list[str]]:
+    """Every list of strings written out in this file, alone and after the
+    prefix of each list that ends in ``*name``: so each ``main([...])``
+    argument vector, and each parametrized one, is among them."""
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    whole, prefixes = [], [[]]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.List):
+            continue
+        starred = bool(node.elts) and isinstance(node.elts[-1], ast.Starred)
+        try:
+            values = [_constant(element) for element in node.elts[:len(node.elts) - starred]]
+        except ValueError:
+            continue
+        if all(isinstance(value, str) for value in values):
+            (prefixes if starred else whole).append(values)
+    return [prefix + argv for prefix in prefixes for argv in whole]
+
+
+# Command lines that are not plain: argparse reads or refuses each, and
+# the direct reader must leave each to it.
+NOT_PLAIN = [
+    ["chow", "2", "--max-degree", "8", "3"],
+    ["verify-paper", "--bo", "24"],
+    ["verify-paper", "--bound=24"],
+    ["verify-paper", "--bound", "8", "--bound", "24"],
+    ["curve", "disc", "1", "0", "-3"],
+    ["blowup", "8", "--", "--"],
+    ["verify-paper", "--format", "xml"],
+    ["verify-paper", "--self-test", "--self-test"],
+    ["pic-complement", "1"],
+    ["chow", "2", "-h"],
+    ["--version"],
+    [],
+]
+# Plain command lines, which the direct reader reads itself.  A value out
+# of range is still plain: main checks the ranges after reading.
+PLAIN = [
+    ["verify-paper", "--format", "json", "--bound", "24"],
+    ["verify-paper", "--self-test", "--output", "report.json", "--format", "text"],
+    ["verify-paper", "--bound", "3"],
+    ["chow", "--max-degree", "4", "2", "3"],
+    ["chow", "2", "3", "--max-degree", "4"],
+    ["blowup", "4", "6", "--invariant-bound", "600", "--max-degree", "0"],
+    ["curve", "iso", "12", "16", "0", "3", "2", "0"],
+    ["curve", "fixed", "1/2", "3"],
+    ["pic-complement", "--poly", "x + y", "1", "1", "--vars", "x,y"],
+]
+
+
+def test_the_direct_reader_reads_as_argparse_or_declines():
+    from_this_file = _argv_in_this_file()
+    assert ["chow", "2", "3", "4", "--max-degree", "4"] in from_this_file
+    assert ["pic-complement", "2", "--poly", "0"] in from_this_file
+    cases = [
+        *fuzz_cli.draw(*FUZZ_SLICE),
+        *(argv for argv, _ in fuzz_cli.CORPUS.values()),
+        *from_this_file,
+        *NOT_PLAIN,
+        *PLAIN,
+    ]
+    assert [argv for argv in cases if fuzz_cli.reader_disagreement(argv)] == []
+    assert [argv for argv in NOT_PLAIN if cli._read(argv) is not None] == []
+    assert [argv for argv in PLAIN if cli._read(argv) is None] == []
 
 
 @pytest.mark.parametrize("name", list(fuzz_cli.CORPUS))
@@ -619,13 +720,43 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     # Together they cost ~25 ms of a ~60 ms cold import of wpchow.cli.  The
     # library modules, json and fractions load only with a command that
     # runs them: importing them all took ~11 ms of every cold start.
-    unwanted = {"dataclasses", "inspect", "json", "fractions"}
+    # argparse, with the gettext and locale it loads, is read only for
+    # help, --version and errors.
+    unwanted = {"dataclasses", "inspect", "json", "fractions", "argparse", "gettext", "locale"}
     unwanted |= {f"wpchow.{name}" for name in
                  ("blowup", "curves", "graded", "intlinalg", "poly", "report", "wps")}
     code = f"import sys, wpchow.cli; print(sorted({sorted(unwanted)!r} & sys.modules.keys()))"
     result = _python("-S", "-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == b"[]"
+
+
+def test_plain_commands_load_no_argparse(tmp_path):
+    # Each plain command line is read off the command table; a range check
+    # that fails still prints argparse's usage before its message.
+    target = str(tmp_path / "report.json")
+    runs = [
+        ["verify-paper", "--format", "json", "--bound", "8", "--output", target],
+        ["chow", "2", "3", "4"],
+        ["curve", "j", "1", "0"],
+    ]
+    probe = (
+        "import sys\n"
+        "from wpchow.cli import main\n"
+        "loaded = [(main(argv), sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()))\n"
+        f"          for argv in {runs!r}]\n"
+        "print(loaded)\n"
+    )
+    result = _python("-S", "-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.decode().splitlines()[-1] == "[(0, []), (0, []), (0, [])]"
+    assert VerificationReport.parse_json(Path(target).read_text(encoding="utf-8")).all_passed
+    result = _python("-S", "-m", "wpchow.cli", "verify-paper", "--bound", "3")
+    assert result.returncode == 2
+    assert b" ".join(result.stderr.split()) == (
+        b"usage: wpchow [-h] [--version] {chow,blowup,curve,pic-complement,verify-paper} ..."
+        b" wpchow: error: --bound must be at least 4"
+    )
 
 
 def test_package_names_resolve_on_first_use():
