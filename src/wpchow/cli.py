@@ -311,9 +311,11 @@ def build_parser():
     import argparse
 
     class OneValue(argparse.Action):
-        """Store a single-value positional.  Python 3.11's argparse strips a
-        second ``--`` from the value it matched and hands the action an empty
-        list (``wpchow blowup 8 -- --``); that is the positional left out."""
+        """Store a single-value positional.  The argparse of Python 3.10.13
+        to 3.13.0 strips a second ``--`` from the value it matched and hands
+        the action an empty list (``wpchow blowup 8 -- --``); that is the
+        positional left out.  3.13.13's hands it ``"--"``, which the type
+        function refuses."""
 
         def __call__(self, parser, namespace, values, option_string=None):
             if values == []:

@@ -76,6 +76,19 @@ class ReportItem:
 _ITEM_FIELDS = tuple(ReportItem.__annotations__)
 
 
+def _item_from_json(entry: Mapping) -> ReportItem:
+    """One item of a report's JSON form: six strings, the status ``pass``
+    or ``fail``, so that the report can count and render it."""
+    values = [field(entry, name) for name in _ITEM_FIELDS]
+    for name, value in zip(_ITEM_FIELDS, values):
+        if not isinstance(value, str):
+            raise TypeError(f"field {name!r} must be a string, not {type(value).__name__}")
+    item = ReportItem(*values)
+    if item.status not in ("pass", "fail"):
+        raise ValueError(f"status {item.status!r} is neither 'pass' nor 'fail'")
+    return item
+
+
 @frozen_record
 class VerificationReport:
     schema: int
@@ -114,10 +127,7 @@ class VerificationReport:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "VerificationReport":
-        items = tuple(
-            ReportItem(*(field(entry, name) for name in _ITEM_FIELDS))
-            for entry in field(data, "items")
-        )
+        items = tuple(_item_from_json(entry) for entry in field(data, "items"))
         report = cls(
             schema=index(field(data, "schema")),
             version=field(data, "version"),
@@ -147,7 +157,7 @@ class VerificationReport:
             f"verification report (schema {self.schema}, toolkit {self.version}, "
             f"degree bound {self.bound})"
         ]
-        width = max(len(item.id) for item in self.items)
+        width = max((len(item.id) for item in self.items), default=0)
         for item in self.items:
             lines.append(
                 f"{item.status.upper():4} {item.id:<{width}}  {item.description}"

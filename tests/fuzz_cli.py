@@ -15,8 +15,11 @@ some cases spell their options as only argparse reads them.
 
     python tests/fuzz_cli.py --seed N --cases M
 
-runs a campaign and prints each failing argument vector; tier-1 runs a
-fixed-seed slice and replays :data:`CORPUS` (``tests/test_report_cli.py``).
+runs a campaign and prints each failing case as a row of
+``tests/cli_cases.py``: an id to rename, the argument vector and what
+``main`` did with it.  Pasted into ``CASES`` and its exit, stdout or
+stderr corrected to what ``main`` should do, the row keeps the case.
+Tier-1 runs a fixed-seed slice (``tests/test_report_cli.py``).
 """
 
 from __future__ import annotations
@@ -49,45 +52,6 @@ VARIABLES = ["x", "y", "z", "a2", "a3", "a4", "_t", "X"]
 ODD_VARS = ["", ",", "x,", ",x", "x,x", "x y", "1x", " x , y ", "x,y,z,w", "a-b", "é"]
 ODD_NUMBERS = ["", "-", "+", "--", "1/0", "0/0", "3/-2", "inf", "nan", "1.5", ".5e1",
                "1_000", "1__0", "_1", "0x10", "٣", " 7 ", "1e", "e5", "1e_1", "1/2/3"]
-
-# Argument vectors kept from earlier failures or changes of behaviour.
-# Tier-1 replays each under the property and checks what it did: its exit
-# (``"usage"`` for argparse's error), its stdout and the last line of its
-# stderr ("" when stderr is empty).
-CORPUS = {
-    # Rendering the exceptional divisor's ring Z[t]/(W*W*t^2) passes the
-    # digit limit; the first line (5,057 bytes) used to be printed before it.
-    "blowup-weights-too-long-to-print": (
-        ["blowup", "7" * 2500, "7" * 2500],
-        (2, "", "error: the output has a number too long to print (over 4300 decimal digits)"),
-    ),
-    # argparse strips the second `--` and handed `blowup` an empty list as
-    # w2, refused as a non-positive weight instead of a missing argument.
-    "blowup-dash-dash-as-w2": (
-        ["blowup", "--", "8", "--"],
-        ("usage", "", "wpchow blowup: error: the following arguments are required: w2"),
-    ),
-    "blowup-dash-dash-after-w1": (
-        ["blowup", "8", "--", "--"],
-        ("usage", "", "wpchow blowup: error: the following arguments are required: w2"),
-    ),
-    # x^3 + 2^61 - 1 has no root modulo 19: answered at once, where the
-    # root search refused it as over its 10^15 limit.
-    "curve-fixed-mersenne-rootless": (
-        ["curve", "fixed", "0", "2305843009213693951"],
-        (0, "no rational fixed points\n", ""),
-    ),
-    # Squaring a 161-term polynomial of ~8,000-bit coefficients: refused
-    # after 1.4-2.0 s when every term product counted 1 against the parse
-    # budget, and in 0.17-0.26 s once products are weighed by coefficient size.
-    "pic-complement-large-coefficient-products": (
-        ["pic-complement", "--poly",
-         "a4 - (z^99) - (((_t*z)^1*(783234324225179)^40 * (X*z + z)^40)^40*a4 - (1)^3)^2 + z",
-         "--vars", ",", "5", "10", "10", "11"],
-        (2, "", "error: polynomial text needs more than 50000 term products to expand"),
-    ),
-}
-
 
 class CaseTimeout(BaseException):
     """Raised in a case that runs past :data:`CASE_LIMIT_S`."""
@@ -268,7 +232,8 @@ def _expire(signum, frame):
 
 def run_case(argv: list[str]) -> tuple[str | None, float, tuple[int | str, str, str]]:
     """Run one case; return ``(failure, seconds, (exit, stdout, stderr))``,
-    failure ``None`` if the property held."""
+    failure ``None`` if the property held and seconds the time ``main``
+    took."""
     # Imported here: run as a script, this file puts src/ on the path first.
     from wpchow.cli import main
 
@@ -280,6 +245,7 @@ def run_case(argv: list[str]) -> tuple[str | None, float, tuple[int | str, str, 
         signal.setitimer(signal.ITIMER_REAL, CASE_LIMIT_S)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             disagreement = reader_disagreement(argv)
+            start = time.perf_counter()  # the seconds are main's alone
             code = main(argv)
     except SystemExit as exc:
         code = "usage" if exc.code == 2 else f"SystemExit({exc.code!r})"
@@ -296,7 +262,9 @@ def run_case(argv: list[str]) -> tuple[str | None, float, tuple[int | str, str, 
         return str(code), seconds, result
     if disagreement:
         return disagreement, seconds, result
-    if "set_int_max_str_digits" in err.getvalue():
+    # The interpreter's words in every supported version; an error may
+    # quote input that names the function.
+    if "sys.set_int_max_str_digits()" in err.getvalue():
         return "the interpreter's digit-limit text", seconds, result
     return None, seconds, result
 
@@ -314,15 +282,16 @@ def draw(seed: int, cases: int) -> list[list[str]]:
 
 def campaign(
     seed: int, cases: int
-) -> tuple[list[tuple[list[str], str]], tuple[float, list[str]]]:
-    """Failures of ``cases`` cases drawn from ``seed``, and the slowest case's
-    time and argument vector."""
+) -> tuple[list[tuple[int, list[str], str, tuple]], tuple[float, list[str]]]:
+    """Failures of ``cases`` cases drawn from ``seed``, each as its index,
+    argument vector, failure and ``(exit, stdout, stderr)``, and the
+    slowest case's time and argument vector."""
     failures, slowest = [], (0.0, [])
-    for argv in draw(seed, cases):
-        failure, seconds, _ = run_case(argv)
+    for at, argv in enumerate(draw(seed, cases)):
+        failure, seconds, result = run_case(argv)
         slowest = max(slowest, (seconds, argv))
         if failure:
-            failures.append((argv, failure))
+            failures.append((at, argv, failure, result))
     return failures, slowest
 
 
@@ -333,8 +302,10 @@ def _main(arguments: list[str]) -> int:
     options = parser.parse_args(arguments)
     start = time.perf_counter()
     failures, (slowest, slowest_argv) = campaign(options.seed, options.cases)
-    for argv, failure in failures:
-        print(f"FAIL {failure}: {_shown(argv)}")
+    for at, argv, failure, (code, out, err) in failures:
+        name, last = f"fuzz-{options.seed}-{at}", err.splitlines()[-1] if err else ""
+        print(f"# FAIL {failure}")
+        print(f"Case({name!r}, {argv!r}, {code!r}, {out!r}, {last!r}),")
     print(f"seed {options.seed}: {options.cases} cases, {len(failures)} failed, "
           f"slowest {slowest:.3f} s {_shown(slowest_argv)}, "
           f"wall {time.perf_counter() - start:.1f} s")

@@ -33,7 +33,6 @@ from wpchow import (
 
 from oracles import rational_roots_by_divisor_search
 from wpchow import curves
-from wpchow.cli import main
 
 
 def test_coefficient_denominators_restricted_to_z16():
@@ -351,22 +350,6 @@ def test_mu2_fixed_points_answer_a_rootless_cubic_over_the_limit_at_once(short):
     start = time.perf_counter()
     assert mu2_fixed_points(short) == []
     assert time.perf_counter() - start < 0.1
-
-
-def test_cli_curve_fixed_over_the_limit_exits_2_at_once(capsys):
-    start = time.perf_counter()
-    assert main(["curve", "fixed", "--", "0", "-1000000000000000000"]) == 2
-    assert time.perf_counter() - start < 0.1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "10^15" in captured.err
-
-
-def test_cli_curve_fixed_rootless_over_the_limit_exits_0_at_once(capsys):
-    start = time.perf_counter()
-    assert main(["curve", "fixed", "0", "2305843009213693951"]) == 0
-    assert time.perf_counter() - start < 0.1
-    assert capsys.readouterr() == ("no rational fixed points\n", "")
 
 
 # -- the small-prime sieve in front of the root search ---------------------------

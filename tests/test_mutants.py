@@ -2,8 +2,9 @@
 
 A check that cannot fail checks nothing.  A row of ``MUTANTS`` names a
 library function, a snippet of its source (it must occur exactly once),
-the snippet's replacement and its victims: tests, as ``"module::test"``,
-and sets of report item ids, run in a bound-4 report.  The function is
+the snippet's replacement and its victims: tests, as ``"module::test"``
+(``"module::test[value]"`` for one value of a parametrized test), and
+sets of report item ids, run in a bound-4 report.  The function is
 rebuilt twice, unchanged and then with the replacement, and each build
 is put in place of the original at every module-level name bound to it,
 in wpchow and in the test modules.  The unchanged build must pass every
@@ -18,6 +19,7 @@ from __future__ import annotations
 import inspect
 import sys
 import textwrap
+from functools import partial
 from importlib import import_module
 
 import pytest
@@ -317,18 +319,43 @@ MUTANTS = {  # id: (function, snippet, replacement, victims)
         "if token not in options or token in given:", "if token not in options:",
         ["test_report_cli::test_the_direct_reader_reads_as_argparse_or_declines"],
     ),
+    # Its range checks and its error messages (cli.py).
+    "bound-cap-off-by-one": (
+        cli._out_of_range,
+        "args.bound > MAX_DEGREE", "args.bound > MAX_DEGREE + 1",
+        ["test_report_cli::test_cli_degree_flags_are_capped[verify-paper-bound]"],
+    ),
+    "digit-limit-text-shown": (
+        cli.main,
+        'message.startswith("Exceeds the limit (")', "False",
+        [*(f"test_report_cli::test_cli_results_too_long_to_print_are_refused_briefly[{name}]"
+           for name in ("chow", "blowup", "curve-normalize", "curve-normalize-beta", "curve-j",
+                        "curve-disc")),
+         "test_report_cli::test_cli_pic_complement_numbers_too_long_to_print_are_an_error[coefficient]",
+         "test_report_cli::test_cli_pic_complement_numbers_too_long_to_print_are_an_error[exponent]",
+         "test_report_cli::test_cli_case[too-long-to-print-degree]"],
+    ),
 }
 
 # Report items that no row names as a victim.  A new item goes here until a
 # row names it; a row that names one takes it out.
 UNGUARDED: set[str] = set()
 
+
+def _test(victim: str):
+    """The test a victim names, given its value if it names one."""
+    module, _, name = victim.partition("::")
+    name, _, value = name.partition("[")
+    test = getattr(import_module(module), name)
+    return partial(test, value[:-1]) if value else test
+
+
 # Bind every name the package exports lazily, and import every victim,
 # before any build is in place: a name bound while one is would keep it.
 for _name in wpchow.__all__:
     getattr(wpchow, _name)
 _TESTS = {
-    victim: getattr(import_module(victim.split("::")[0]), victim.split("::")[1])
+    victim: _test(victim)
     for *_, victims in MUTANTS.values()
     for victim in victims
     if isinstance(victim, str)
